@@ -1422,12 +1422,20 @@ let serve_cmd =
           (Unix.error_message e);
         exit 2
     in
+    (* Handlers first, port file second: a client that signals as soon as
+       the port file appears must find the drain path installed. *)
+    let on_signal = Sys.Signal_handle (fun _ -> Server.request_stop srv) in
+    Sys.set_signal Sys.sigterm on_signal;
+    Sys.set_signal Sys.sigint on_signal;
     (match port_file with
     | Some f ->
-        let oc = open_out f in
+        (* write-then-rename: the file appears complete or not at all *)
+        let tmp = f ^ ".tmp" in
+        let oc = open_out tmp in
         output_string oc (string_of_int (Server.port srv));
         output_char oc '\n';
-        close_out oc
+        close_out oc;
+        Sys.rename tmp f
     | None -> ());
     Printf.printf
       "-- serving %d triples on %s:%d (%s, %s, jobs %d%s); SIGTERM drains\n%!"
@@ -1438,9 +1446,6 @@ let serve_cmd =
       (match budget with
       | Some b -> Printf.sprintf ", budget %d" b
       | None -> "");
-    let on_signal = Sys.Signal_handle (fun _ -> Server.request_stop srv) in
-    Sys.set_signal Sys.sigterm on_signal;
-    Sys.set_signal Sys.sigint on_signal;
     Server.wait srv;
     Server.stop srv;
     (* join the worker domains before exiting: "no leaked domains" *)

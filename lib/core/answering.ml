@@ -225,9 +225,7 @@ type report = {
   execution_ms : float;
 }
 
-(* Wall-clock, not [Sys.time]: CPU time under-reports any waiting and is
-   not comparable with the benchmark driver's [Unix.gettimeofday] spans. *)
-let now_ms () = Unix.gettimeofday () *. 1000.0
+let now_ms = Cover_space.now_ms
 
 let run_cover s strategy q cover ~covers_explored ~planning_start =
   let obj_free_reformulate cq = Cache.reformulate s.cache cq in

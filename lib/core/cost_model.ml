@@ -10,9 +10,23 @@ type coefficients = {
   memory_rows : float;
 }
 
+(* Fragment statistics keyed by the fragment UCQ's physical identity: the
+   tier-1 cache hands out one physical [Ucq.t] per fragment, shared by
+   every cover that contains it.  Ephemeron keys let an entry die with its
+   UCQ, so the memo never keeps an evicted reformulation alive. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Ucq.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   stats : Store.Statistics.t;
   coeff : coefficients;
+  memo : (float * float) Memo.t;  (* UCQ -> (scan volume, result estimate) *)
+  memo_lock : Mutex.t;  (* [Objective.prime] prices from pool domains *)
+  mutable memo_version : int;  (* store version the memo was filled at *)
 }
 
 let coefficients_of_profile (p : Engine.Profile.t) =
@@ -32,16 +46,22 @@ let create ?coefficients stats =
     | Some c -> c
     | None -> coefficients_of_profile Engine.Profile.postgres_like
   in
-  { stats; coeff }
+  {
+    stats;
+    coeff;
+    memo = Memo.create 64;
+    memo_lock = Mutex.create ();
+    memo_version = Store.Encoded_store.version (Store.Statistics.store stats);
+  }
 
 let coefficients t = t.coeff
 
 (* ---- calibration ---- *)
 
 (* Calibration probes: synthetic statements whose dominant cost isolates
-   one coefficient.  Times are CPU seconds converted to the same unit as
-   the defaults (milliseconds-ish); when a probe is degenerate (empty
-   store), the profile default is kept. *)
+   one coefficient.  Times are wall-clock milliseconds, the unit of the
+   defaults; when a probe is degenerate (empty store), the profile default
+   is kept. *)
 let calibrate (ex : Engine.Executor.t) =
   let profile = Engine.Executor.profile ex in
   let defaults = coefficients_of_profile profile in
@@ -50,9 +70,9 @@ let calibrate (ex : Engine.Executor.t) =
   if n < 1000 then defaults
   else begin
     let time f =
-      let t0 = Sys.time () in
+      let t0 = Cover_space.now_ms () in
       let cells = f () in
-      let dt = (Sys.time () -. t0) *. 1000.0 in
+      let dt = Cover_space.now_ms () -. t0 in
       (dt, float_of_int (max 1 cells))
     in
     (* Probe 1: full scans through single-atom queries per property gives
@@ -110,19 +130,26 @@ let calibrate (ex : Engine.Executor.t) =
 
 (* ---- the formulas ---- *)
 
-let cq_scan_volume t (cq : Bgp.t) =
-  List.fold_left
-    (fun acc a -> acc +. float_of_int (Store.Statistics.atom_count t.stats a))
-    0.0 cq.body
-
-(* No memoization: each per-triple count is an O(1) index lookup, so the
-   fold is linear in the union size — cheaper than any content-based cache
-   key for the 10^5-term unions this gets called on. *)
-let scan_volume t u =
-  List.fold_left (fun acc cq -> acc +. cq_scan_volume t cq) 0.0
-    (Ucq.disjuncts u)
-
-let ucq_result_estimate t u = Store.Statistics.ucq_cardinality t.stats u
+(* [(scan volume, result estimate)] of a fragment UCQ, computed once per
+   store version.  [Encoded_store.version] moves on every schema or data
+   change (both counters only grow), and any move drops the whole memo. *)
+let fragment_stats t u =
+  let version = Store.Encoded_store.version (Store.Statistics.store t.stats) in
+  let cached =
+    Mutex.protect t.memo_lock @@ fun () ->
+    if version <> t.memo_version then begin
+      Memo.reset t.memo;
+      t.memo_version <- version
+    end;
+    Memo.find_opt t.memo u
+  in
+  match cached with
+  | Some stats -> stats
+  | None ->
+      let stats = Store.Statistics.ucq_volume_and_cardinality t.stats u in
+      (Mutex.protect t.memo_lock @@ fun () ->
+       if version = t.memo_version then Memo.replace t.memo u stats);
+      stats
 
 let unique_cost t rows =
   if rows <= 0.0 then 0.0
@@ -147,10 +174,8 @@ let final_result_estimate t (j : Jucq.t) =
   | _ -> Store.Statistics.cq_cardinality t.stats (Bgp.make head_vars atoms)
 
 let jucq_cost t (j : Jucq.t) =
-  let volumes = List.map (fun (_, u) -> scan_volume t u) j.Jucq.fragments in
-  let result_estimates =
-    List.map (fun (_, u) -> ucq_result_estimate t u) j.Jucq.fragments
-  in
+  let stats = List.map (fun (_, u) -> fragment_stats t u) j.Jucq.fragments in
+  let volumes = List.map fst stats and result_estimates = List.map snd stats in
   let eval_cost =
     List.fold_left (fun acc v -> acc +. ((t.coeff.c_t +. t.coeff.c_j) *. v))
       0.0 volumes
@@ -187,7 +212,5 @@ let jucq_cost t (j : Jucq.t) =
   +. final_dedup
 
 let ucq_cost t u =
-  let v = scan_volume t u in
-  t.coeff.c_db
-  +. ((t.coeff.c_t +. t.coeff.c_j) *. v)
-  +. unique_cost t (ucq_result_estimate t u)
+  let v, est = fragment_stats t u in
+  t.coeff.c_db +. ((t.coeff.c_t +. t.coeff.c_j) *. v) +. unique_cost t est

@@ -22,7 +22,11 @@
       [c_k · |q| · log |q|] when the result exceeds memory (disk sort).
 
     Per-triple counts [|cq_t|] are exact (index lookups); result
-    cardinalities [|q|] are estimated by {!Store.Statistics}.  The
+    cardinalities [|q|] are estimated by {!Store.Statistics}.  A fragment
+    UCQ's pair (scan volume [Σ_cq Σ_t |cq_t|], result estimate) is computed
+    once per store version and memoized on the UCQ's physical identity:
+    covers share fragments, so a search pricing thousands of covers
+    prices each fragment once.  The
     system-dependent constants are either taken from the engine profile or
     learned by {!calibrate}, which runs simple calibration queries on the
     engine being modeled, as Section 5.1 describes. *)
@@ -56,13 +60,6 @@ val calibrate : Engine.Executor.t -> coefficients
 
 val coefficients : t -> coefficients
 (** The model's coefficients. *)
-
-val scan_volume : t -> Query.Ucq.t -> float
-(** [Σ_{cq} Σ_{t_i} |cq_(t_i)|]: the total per-triple match volume of a
-    UCQ — the quantity driving equations (2)-(4). *)
-
-val ucq_result_estimate : t -> Query.Ucq.t -> float
-(** Estimated result cardinality of a UCQ (for dedup terms). *)
 
 val unique_cost : t -> float -> float
 (** [c_unique] applied to an estimated result cardinality. *)

@@ -17,6 +17,10 @@ val connected_fragments : Query.Bgp.t -> Query.Jucq.fragment list
 (** All internally connected, non-empty subsets of the query's atoms —
     the candidate fragments. *)
 
+val now_ms : unit -> float
+(** Wall-clock milliseconds ([Unix.gettimeofday]): the one clock every
+    search budget, [elapsed_ms] and [planning_ms] is measured with. *)
+
 type budget = {
   max_covers : int;    (** stop after enumerating this many covers *)
   max_millis : float;  (** wall-clock budget in milliseconds *)

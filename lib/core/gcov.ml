@@ -101,7 +101,7 @@ let search ?(max_moves = 10_000) ?(ordering = Cost_sorted)
     ?(stop = Exhausted) (obj : Objective.t) =
   Obs.Span.with_ "plan.cover_search" ~attrs:[ ("algo", "gcov") ]
   @@ fun sp ->
-  let t0 = Sys.time () in
+  let t0 = Cover_space.now_ms () in
   let q = Objective.query obj in
   let c0 = Jucq.scq_cover q in
   let finish cover cost moves_applied =
@@ -112,7 +112,7 @@ let search ?(max_moves = 10_000) ?(ordering = Cost_sorted)
       cost;
       explored = Objective.explored obj;
       moves_applied;
-      elapsed_ms = (Sys.time () -. t0) *. 1000.0;
+      elapsed_ms = Cover_space.now_ms () -. t0;
     }
   in
   if List.length q.Bgp.body = 1 then
@@ -174,7 +174,7 @@ let search ?(max_moves = 10_000) ?(ordering = Cost_sorted)
       match stop with
       | Exhausted -> true
       | Improvement_ratio ratio -> snd !best > ratio *. initial_cost
-      | Timeout_ms ms -> (Sys.time () -. t0) *. 1000.0 <= ms
+      | Timeout_ms ms -> Cover_space.now_ms () -. t0 <= ms
     in
     (* Main loop (lines 8-16). *)
     while

@@ -6,6 +6,15 @@ type change = { added : bool; cs : int; cp : int; co : int }
    [log_max] effective changes rebuild from scratch instead of replaying. *)
 let log_max = 4096
 
+(* The per-property counters sit on the insert path: a monomorphic table
+   skips the polymorphic hash call on every new posting key. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
   mutable schema : Rdf.Schema.t;
   dict : Rdf.Dictionary.t;
@@ -19,6 +28,8 @@ type t = {
   idx_po : (int, Intvec.t) Hashtbl.t;
   idx_so : (int, Intvec.t) Hashtbl.t;
   ids : (int * int * int, int) Hashtbl.t;  (* triple -> id, duplicate guard *)
+  ndv_s : int ref Int_tbl.t;  (* property -> its idx_sp key count *)
+  ndv_o : int ref Int_tbl.t;  (* property -> its idx_po key count *)
   mutable schema_version : int;  (* effective RDFS-constraint changes *)
   mutable data_version : int;    (* effective fact inserts + deletes *)
   log : change Queue.t;          (* the last <= log_max effective changes *)
@@ -53,6 +64,8 @@ let create schema =
     idx_po = Hashtbl.create 1024;
     idx_so = Hashtbl.create 1024;
     ids = Hashtbl.create 1024;
+    ndv_s = Int_tbl.create 64;
+    ndv_o = Int_tbl.create 64;
     schema_version = 0;
     data_version = 0;
     log = Queue.create ();
@@ -86,13 +99,26 @@ let changes_since t ~since =
     Some (List.rev !out)
   end
 
-let posting tbl key =
+(* Appends [id] to [key]'s posting; [true] when the key is new. *)
+let push tbl key id =
   match Hashtbl.find_opt tbl key with
-  | Some v -> v
+  | Some v ->
+      Intvec.push v id;
+      false
   | None ->
       let v = Intvec.create ~capacity:4 () in
+      Intvec.push v id;
       Hashtbl.add tbl key v;
-      v
+      true
+
+(* Per-property distinct counts move exactly when an [sp] / [po] posting
+   key appears or vanishes. *)
+let bump tbl key delta =
+  match Int_tbl.find_opt tbl key with
+  | Some n ->
+      n := !n + delta;
+      if !n = 0 then Int_tbl.remove tbl key
+  | None -> Int_tbl.add tbl key (ref delta)
 
 let insert_code t s p o =
   if not (Hashtbl.mem t.ids (s, p, o)) then begin
@@ -104,12 +130,12 @@ let insert_code t s p o =
     Intvec.push t.col_s s;
     Intvec.push t.col_p p;
     Intvec.push t.col_o o;
-    Intvec.push (posting t.idx_s s) id;
-    Intvec.push (posting t.idx_p p) id;
-    Intvec.push (posting t.idx_o o) id;
-    Intvec.push (posting t.idx_sp (pack s p)) id;
-    Intvec.push (posting t.idx_po (pack p o)) id;
-    Intvec.push (posting t.idx_so (pack s o)) id
+    ignore (push t.idx_s s id);
+    ignore (push t.idx_p p id);
+    ignore (push t.idx_o o id);
+    if push t.idx_sp (pack s p) id then bump t.ndv_s p 1;
+    if push t.idx_po (pack p o) id then bump t.ndv_o p 1;
+    ignore (push t.idx_so (pack s o) id)
   end
 
 let insert t (tr : Rdf.Triple.t) =
@@ -121,12 +147,13 @@ let insert t (tr : Rdf.Triple.t) =
 
 (* ---- deletion: swap-remove on the columns and the six postings ---- *)
 
+(* Removes [id] from [key]'s posting; [true] when the key vanishes. *)
 let remove_from_posting tbl key id =
   match Hashtbl.find_opt tbl key with
-  | None -> ()
+  | None -> false
   | Some v ->
       ignore (Intvec.swap_remove_value v id);
-      if Intvec.length v = 0 then Hashtbl.remove tbl key
+      Intvec.length v = 0 && (Hashtbl.remove tbl key; true)
 
 let relabel_in_posting tbl key ~from ~to_ =
   match Hashtbl.find_opt tbl key with
@@ -152,12 +179,12 @@ let delete_code t s p o =
       log_change t false s p o;
       let last = size t - 1 in
       Hashtbl.remove t.ids (s, p, o);
-      remove_from_posting t.idx_s s id;
-      remove_from_posting t.idx_p p id;
-      remove_from_posting t.idx_o o id;
-      remove_from_posting t.idx_sp (pack s p) id;
-      remove_from_posting t.idx_po (pack p o) id;
-      remove_from_posting t.idx_so (pack s o) id;
+      ignore (remove_from_posting t.idx_s s id);
+      ignore (remove_from_posting t.idx_p p id);
+      ignore (remove_from_posting t.idx_o o id);
+      if remove_from_posting t.idx_sp (pack s p) id then bump t.ndv_s p (-1);
+      if remove_from_posting t.idx_po (pack p o) id then bump t.ndv_o p (-1);
+      ignore (remove_from_posting t.idx_so (pack s o) id);
       if id <> last then begin
         (* move the last triple into the vacated slot: posting entries,
            the ids table and the column cells all re-label [last] as [id] *)
@@ -330,6 +357,16 @@ let count t pat =
   | _ -> Intvec.length (matching t pat)
 
 let mem_code t s p o = Hashtbl.mem t.ids (s, p, o)
+
+let property_ndv t ~prop pos =
+  let tbl = match pos with `Subject -> t.ndv_s | `Object -> t.ndv_o in
+  match Int_tbl.find_opt tbl prop with Some n -> !n | None -> 0
+
+(* Empty postings are removed, so an index's key count is the number of
+   distinct codes in its position. *)
+let distinct t pos =
+  Hashtbl.length
+    (match pos with `Subject -> t.idx_s | `Property -> t.idx_p | `Object -> t.idx_o)
 
 let decode_triple t i =
   let d = Rdf.Dictionary.decode t.dict in

@@ -151,6 +151,15 @@ val count : t -> pattern -> int
 val mem_code : t -> int -> int -> int -> bool
 (** Membership of an encoded triple. *)
 
+val property_ndv : t -> prop:int -> [ `Subject | `Object ] -> int
+(** Number of distinct subject (resp. object) codes among the triples with
+    the given property code; [0] for an absent property.  Maintained by
+    every insert and delete, so a read is one table lookup. *)
+
+val distinct : t -> [ `Subject | `Property | `Object ] -> int
+(** Store-wide number of distinct codes in a triple position: the key
+    count of that position's index, which drops empty postings. *)
+
 val saturate : t -> t
 (** A saturated copy of the store (same dictionary object): the physical
     design of saturation-based query answering. *)

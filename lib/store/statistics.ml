@@ -1,149 +1,47 @@
 open Query
 
-(* Store-wide distinct counts are kept as occurrence-count tables (code ->
-   number of stored triples carrying it in that position) so the change
-   log can maintain them incrementally: an insert whose count goes 0 -> 1
-   adds a distinct value, a delete whose count goes 1 -> 0 removes one. *)
-type global = {
-  occ_s : (int, int) Hashtbl.t;
-  occ_p : (int, int) Hashtbl.t;
-  occ_o : (int, int) Hashtbl.t;
-  mutable computed : bool;
-}
-
 type t = {
   store : Encoded_store.t;
-  ndv_cache : (int, int) Hashtbl.t;  (* 2*prop + (0=subj|1=obj) -> ndv *)
   cq_cache : (string, float) Hashtbl.t;
-  global : global;
   mutable seen_version : int;
   lock : Mutex.t;
       (* Estimation entry points serialize on this lock so a statistics
          instance shared across domains (parallel cover costing, concurrent
-         [answer] calls on one system) keeps its caches consistent.  Every
+         [answer] calls on one system) keeps its cache consistent.  Every
          cached value is a pure function of the store snapshot, so lock
          granularity cannot change any estimate. *)
 }
 
 (* Public entry points lock; the [_unlocked] internals below assume the
    lock is held (they call each other freely without re-acquiring). *)
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let create store =
   {
     store;
-    ndv_cache = Hashtbl.create 64;
     cq_cache = Hashtbl.create 256;
     lock = Mutex.create ();
-    global =
-      {
-        occ_s = Hashtbl.create 1024;
-        occ_p = Hashtbl.create 64;
-        occ_o = Hashtbl.create 1024;
-        computed = false;
-      };
     seen_version = Encoded_store.data_version store;
   }
 
 let store t = t.store
 
-let occ_incr tbl code =
-  Hashtbl.replace tbl code
-    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl code))
-
-let occ_decr tbl code =
-  match Hashtbl.find_opt tbl code with
-  | None | Some 1 -> Hashtbl.remove tbl code
-  | Some n -> Hashtbl.replace tbl code (n - 1)
-
-(* One effective store change: per-property NDV entries for the touched
-   property are dropped (exact recount on next demand), the occurrence
-   tables absorb the delta when built. *)
-let apply_change t (c : Encoded_store.change) =
-  Hashtbl.remove t.ndv_cache (2 * c.Encoded_store.cp);
-  Hashtbl.remove t.ndv_cache ((2 * c.Encoded_store.cp) + 1);
-  if t.global.computed then begin
-    let step = if c.Encoded_store.added then occ_incr else occ_decr in
-    step t.global.occ_s c.Encoded_store.cs;
-    step t.global.occ_p c.Encoded_store.cp;
-    step t.global.occ_o c.Encoded_store.co
-  end
-
-let full_flush t =
-  Hashtbl.reset t.ndv_cache;
-  Hashtbl.reset t.cq_cache;
-  Hashtbl.reset t.global.occ_s;
-  Hashtbl.reset t.global.occ_p;
-  Hashtbl.reset t.global.occ_o;
-  t.global.computed <- false
-
-(* Cached statistics are tied to a store snapshot; updates refresh them —
-   incrementally from the store's change log when the gap fits its bounded
-   window, by a full flush otherwise.  CQ estimates always flush: a join
-   estimate can depend on every property a change touches transitively. *)
+(* CQ estimates are tied to a store snapshot: any data change flushes
+   them, since a join estimate can depend on every property a change
+   touches transitively.  Distinct counts are the store's own. *)
 let refresh t =
   let v = Encoded_store.data_version t.store in
   if v <> t.seen_version then begin
-    (match Encoded_store.changes_since t.store ~since:t.seen_version with
-    | Some changes ->
-        List.iter (apply_change t) changes;
-        Hashtbl.reset t.cq_cache
-    | None -> full_flush t);
+    Hashtbl.reset t.cq_cache;
     t.seen_version <- v
   end
 
-let ensure_global t =
-  if not t.global.computed then begin
-    for i = 0 to Encoded_store.size t.store - 1 do
-      occ_incr t.global.occ_s (Encoded_store.subject t.store i);
-      occ_incr t.global.occ_p (Encoded_store.property t.store i);
-      occ_incr t.global.occ_o (Encoded_store.obj t.store i)
-    done;
-    t.global.computed <- true
-  end
-
-let distinct_subjects t = max 1 (Hashtbl.length t.global.occ_s)
-let distinct_properties t = max 1 (Hashtbl.length t.global.occ_p)
-let distinct_objects t = max 1 (Hashtbl.length t.global.occ_o)
-
-let ndv_unlocked t ~prop pos =
-  refresh t;
-  let tag = match pos with `Subject -> 0 | `Object -> 1 in
-  (* int-packed key: no tuple allocation on the planner's hot lookups *)
-  match Hashtbl.find_opt t.ndv_cache ((2 * prop) + tag) with
-  | Some n -> n
-  | None ->
-      let seen = Hashtbl.create 64 in
-      let ids =
-        Encoded_store.matching t.store
-          { Encoded_store.ps = None; pp = Some prop; po = None }
-      in
-      Intvec.iter
-        (fun id ->
-          let v =
-            match pos with
-            | `Subject -> Encoded_store.subject t.store id
-            | `Object -> Encoded_store.obj t.store id
-          in
-          Hashtbl.replace seen v ())
-        ids;
-      let n = max 1 (Hashtbl.length seen) in
-      Hashtbl.add t.ndv_cache ((2 * prop) + tag) n;
-      n
+let ndv t ~prop pos = max 1 (Encoded_store.property_ndv t.store ~prop pos)
+let global_distinct t pos = max 1 (Encoded_store.distinct t.store pos)
 
 (* ---- atom counting ---- *)
 
 type slot = Wild | Code of int | Missing
-
-let ndv t ~prop pos = locked t @@ fun () -> ndv_unlocked t ~prop pos
 
 let slot_of t = function
   | Bgp.Var _ -> Wild
@@ -203,25 +101,24 @@ let atom_count t a = locked t @@ fun () -> atom_count_unlocked t a
    denominator.  When the property is a constant we have per-property NDV;
    otherwise fall back to the store-wide distinct counts. *)
 let position_ndv t (a : Bgp.atom) v =
-  ensure_global t;
   let prop_code =
     match a.p with
     | Bgp.Const c -> Encoded_store.encode_term t.store c
     | Bgp.Var _ -> None
   in
   let var_at pos = match pos with Bgp.Var w -> String.equal w v | _ -> false in
-  if var_at a.p then distinct_properties t
+  if var_at a.p then global_distinct t `Property
   else
     match prop_code with
-    | Some p when var_at a.s -> ndv_unlocked t ~prop:p `Subject
-    | Some p when var_at a.o -> ndv_unlocked t ~prop:p `Object
+    | Some p when var_at a.s -> ndv t ~prop:p `Subject
+    | Some p when var_at a.o -> ndv t ~prop:p `Object
     | Some _ -> 1
     | None ->
-        if var_at a.s then distinct_subjects t else distinct_objects t
+        global_distinct t (if var_at a.s then `Subject else `Object)
 
-let cq_cardinality_unlocked t (q : Bgp.t) =
-  refresh t;
-  let key = Bgp.to_string (Bgp.canonical q) in
+(* The estimate of [q] under cache [key], given its atoms' exact counts
+   in body order ([counts] runs only on a cache miss). *)
+let cq_estimate t key (q : Bgp.t) counts =
   match Hashtbl.find_opt t.cq_cache key with
   | Some x -> x
   | None ->
@@ -229,11 +126,11 @@ let cq_cardinality_unlocked t (q : Bgp.t) =
          occurrence of a join variable by 1/max(ndv seen, ndv here). *)
       let seen : (string, int) Hashtbl.t = Hashtbl.create 8 in
       let card =
-        List.fold_left
-          (fun card (a : Bgp.atom) ->
+        List.fold_left2
+          (fun card (a : Bgp.atom) n ->
             if card = 0.0 then 0.0
             else
-              let n = float_of_int (atom_count_unlocked t a) in
+              let n = float_of_int n in
               if n = 0.0 then 0.0
               else
                 let card = card *. n in
@@ -248,23 +145,37 @@ let cq_cardinality_unlocked t (q : Bgp.t) =
                         Hashtbl.replace seen v (min prev here);
                         card /. float_of_int (max 1 (max prev here)))
                   card (Bgp.atom_vars a))
-          1.0 q.body
+          1.0 q.body (counts ())
       in
       Hashtbl.add t.cq_cache key card;
       card
 
-let cq_cardinality t q = locked t @@ fun () -> cq_cardinality_unlocked t q
+let atom_counts t (q : Bgp.t) = List.map (atom_count_unlocked t) q.body
 
-let ucq_cardinality t u =
-  locked t @@ fun () ->
-  List.fold_left (fun acc cq -> acc +. cq_cardinality_unlocked t cq) 0.0
-    (Ucq.disjuncts u)
-
-let global_distinct t pos =
+let cq_cardinality t (q : Bgp.t) =
   locked t @@ fun () ->
   refresh t;
-  ensure_global t;
-  match pos with
-  | `Subject -> distinct_subjects t
-  | `Property -> distinct_properties t
-  | `Object -> distinct_objects t
+  cq_estimate t (Bgp.to_string (Bgp.canonical q)) q (fun () -> atom_counts t q)
+
+(* UCQ disjuncts are canonical already (the {!Ucq} invariant), so their
+   printed form is their cache key: no second canonicalization. *)
+let ucq_cardinality t u =
+  locked t @@ fun () ->
+  refresh t;
+  List.fold_left
+    (fun acc cq ->
+      acc +. cq_estimate t (Bgp.to_string cq) cq (fun () -> atom_counts t cq))
+    0.0 (Ucq.disjuncts u)
+
+let ucq_volume_and_cardinality t u =
+  locked t @@ fun () ->
+  refresh t;
+  List.fold_left
+    (fun (volume, card) cq ->
+      let counts = atom_counts t cq in
+      let v =
+        List.fold_left (fun acc n -> acc +. float_of_int n) 0.0 counts
+      in
+      ( volume +. v,
+        card +. cq_estimate t (Bgp.to_string cq) cq (fun () -> counts) ))
+    (0.0, 0.0) (Ucq.disjuncts u)

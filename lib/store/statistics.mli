@@ -6,7 +6,11 @@
     module supplies them:
 
     - exact per-pattern triple counts, answered from the store's indexes;
-    - number-of-distinct-values (NDV) statistics per property and position;
+    - number-of-distinct-values (NDV) statistics per property and position,
+      and store-wide distinct counts per position — both maintained by the
+      store itself on every insert and delete
+      ({!Encoded_store.property_ndv}, {!Encoded_store.distinct}), so
+      reading one is a table lookup and a fresh instance counts nothing;
     - textbook System-R estimation for conjunctive queries: the product of
       per-atom counts discounted by [1/max(ndv)] for every additional
       occurrence of a join variable;
@@ -14,21 +18,19 @@
       makes this an upper bound; duplicate ratios are workload-dependent
       and deliberately not modeled, as in the paper's simple cost model).
 
-    Estimates are cached per (statistics, canonical CQ); the caches track
-    the store's modification counter and flush automatically after
+    CQ estimates are cached per (statistics, canonical CQ); the cache
+    tracks the store's {!Encoded_store.data_version} and flushes after
     updates, so a long-lived system keeps estimating correctly as data
     arrives. *)
 
 type t
 
 val create : Encoded_store.t -> t
-(** Statistics bound to a store.  NDV tables are built lazily.  When the
-    store's {!Encoded_store.data_version} moves, the caches are refreshed
-    incrementally from {!Encoded_store.changes_since}: only the touched
-    properties' NDV entries are dropped and the store-wide distinct counts
-    absorb the delta; a full flush happens only when the change log's
-    bounded window has been outrun.  Schema-only changes refresh
-    nothing. *)
+(** Statistics bound to a store.  Creation is O(1): distinct counts are
+    read from the store, which keeps them current, and the CQ-estimate
+    cache starts empty.  When the store's {!Encoded_store.data_version}
+    moves, that cache is flushed on the next estimate; schema-only changes
+    flush nothing. *)
 
 val store : t -> Encoded_store.t
 (** The underlying store. *)
@@ -39,11 +41,11 @@ val atom_count : t -> Query.Bgp.atom -> int
 
 val ndv : t -> prop:int -> [ `Subject | `Object ] -> int
 (** Number of distinct subject (resp. object) codes among the triples with
-    the given property code.  At least 1 for a non-empty posting. *)
+    the given property code, at least 1: {!Encoded_store.property_ndv}. *)
 
 val global_distinct : t -> [ `Subject | `Property | `Object ] -> int
-(** Store-wide number of distinct codes in a triple position (at least 1).
-    Maintained incrementally from the store's change log after updates. *)
+(** Store-wide number of distinct codes in a triple position, at least 1:
+    {!Encoded_store.distinct}. *)
 
 val cq_cardinality : t -> Query.Bgp.t -> float
 (** Estimated number of answers of a CQ (before head projection /
@@ -51,3 +53,8 @@ val cq_cardinality : t -> Query.Bgp.t -> float
 
 val ucq_cardinality : t -> Query.Ucq.t -> float
 (** Estimated number of answers of a UCQ: sum of the member estimates. *)
+
+val ucq_volume_and_cardinality : t -> Query.Ucq.t -> float * float
+(** [(volume, cardinality)] of a UCQ in one pass that counts each atom
+    once: [volume] is [Σ_{cq} Σ_{t_i} |cq_(t_i)|], the sum of the
+    disjuncts' {!atom_count}s, and [cardinality] is {!ucq_cardinality}. *)

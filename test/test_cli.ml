@@ -454,6 +454,49 @@ let test_bad_arguments () =
   in
   Alcotest.(check int) "missing query rejected" 2 code
 
+(* `rdfqa serve` installs its SIGTERM handler before the port file
+   appears, so a client that signals the moment it sees the file always
+   gets a clean drain (exit 0), never death by the signal. *)
+let test_serve_sigterm_at_port_file () =
+  let data = Filename.temp_file "rqa_cli" ".nt" in
+  let code, _ =
+    run_capture (Printf.sprintf "generate -w dblp -n 20 -o %s" data)
+  in
+  Alcotest.(check int) "generate exit code" 0 code;
+  let port_file = Filename.temp_file "rqa_cli" ".port" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  for i = 1 to 20 do
+    Sys.remove port_file;
+    let pid =
+      Unix.create_process exe
+        [|
+          exe; "serve"; "-w"; "dblp"; "-d"; data; "--port-file"; port_file;
+          "--jobs"; "1";
+        |]
+        Unix.stdin devnull devnull
+    in
+    let rec await_port_file () =
+      if not (Sys.file_exists port_file) then
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ ->
+            Unix.sleepf 0.0002;
+            await_port_file ()
+        | _ -> Alcotest.fail "server exited before writing its port file"
+    in
+    await_port_file ();
+    Unix.kill pid Sys.sigterm;
+    let status =
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+      | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+      | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
+    in
+    Alcotest.(check string) (Printf.sprintf "run %d drains" i) "exit 0" status
+  done;
+  Unix.close devnull;
+  Sys.remove port_file;
+  Sys.remove data
+
 let () =
   Alcotest.run "cli"
     [
@@ -493,5 +536,7 @@ let () =
           Alcotest.test_case "query --metrics --repeat" `Quick
             test_query_metrics_and_repeat;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
+          Alcotest.test_case "serve SIGTERM at port file" `Quick
+            test_serve_sigterm_at_port_file;
         ] );
     ]

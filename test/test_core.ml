@@ -493,6 +493,161 @@ let prop_cost_model_sane =
               Float.is_finite cost && cost >= cdb)
         [ Jucq.ucq_cover q; Jucq.scq_cover q ])
 
+(* ---- fragment-statistics memo: bit-identical to per-cover recounting ---- *)
+
+module Stats = Store.Statistics
+
+(* The cost formulas recomputed from scratch for every call, on a
+   statistics instance of their own: every disjunct's atoms counted and its
+   estimate looked up (after canonicalization) again for each cover. *)
+let reference_volume st u =
+  List.fold_left
+    (fun acc (cq : Bgp.t) ->
+      acc
+      +. List.fold_left
+           (fun acc a -> acc +. float_of_int (Stats.atom_count st a))
+           0.0 cq.body)
+    0.0 (Ucq.disjuncts u)
+
+let reference_estimate st u =
+  List.fold_left
+    (fun acc cq -> acc +. Stats.cq_cardinality st cq)
+    0.0 (Ucq.disjuncts u)
+
+let reference_ucq_cost cm st u =
+  let co = Rqa.Cost_model.coefficients cm in
+  co.Rqa.Cost_model.c_db
+  +. ((co.Rqa.Cost_model.c_t +. co.Rqa.Cost_model.c_j) *. reference_volume st u)
+  +. Rqa.Cost_model.unique_cost cm (reference_estimate st u)
+
+let reference_jucq_cost cm st (j : Jucq.t) =
+  let co = Rqa.Cost_model.coefficients cm in
+  let unique = Rqa.Cost_model.unique_cost cm in
+  let volumes = List.map (fun (_, u) -> reference_volume st u) j.fragments in
+  let estimates =
+    List.map (fun (_, u) -> reference_estimate st u) j.fragments
+  in
+  let sum = List.fold_left ( +. ) 0.0 in
+  let eval_cost =
+    List.fold_left
+      (fun acc v -> acc +. ((co.c_t +. co.c_j) *. v))
+      0.0 volumes
+  in
+  let dedup = List.fold_left (fun acc e -> acc +. unique e) 0.0 estimates in
+  let m = List.length j.fragments in
+  let join_cost = if m <= 1 then 0.0 else co.c_j *. sum volumes in
+  let mat_cost =
+    if m <= 1 then 0.0
+    else
+      let largest = List.fold_left max neg_infinity estimates in
+      let skipped = ref false in
+      List.fold_left2
+        (fun acc v e ->
+          if (not !skipped) && e = largest then begin
+            skipped := true;
+            acc
+          end
+          else acc +. (co.c_m *. v))
+        0.0 volumes estimates
+  in
+  let atoms =
+    List.sort_uniq Bgp.atom_compare
+      (List.concat_map (fun ((cq : Bgp.t), _) -> cq.body) j.fragments)
+  in
+  let head =
+    List.filter (function Bgp.Var _ -> true | Bgp.Const _ -> false) j.head
+  in
+  let final =
+    match head with
+    | [] -> 1.0
+    | _ -> Stats.cq_cardinality st (Bgp.make head atoms)
+  in
+  co.c_db +. eval_cost +. dedup +. join_cost +. mat_cost +. unique final
+
+(* Small enough that every query's reformulations build quickly; covers
+   with a larger fragment are skipped, as the capacity screen skips them
+   in cover search. *)
+let memo_test_capacity = 5_000
+
+(* Every cover of every workload query (at most 500 per query), priced by
+   one long-lived system, against the reference on a fresh statistics
+   instance.  Returns the model's costs, for comparing store states. *)
+let check_costs_bit_identical ~state sys queries =
+  let cm = Rqa.Answering.cost_model sys in
+  let cache = Rqa.Answering.cache sys in
+  let reformulator = Cache.reformulator cache in
+  let store = Engine.Executor.store (Rqa.Answering.engine sys) in
+  let fresh = Stats.create store in
+  let bits x = Int64.bits_of_float x in
+  let canonical_checked = ref [] in
+  List.concat_map
+    (fun (name, q) ->
+      let budget =
+        { Rqa.Cover_space.max_covers = 500; max_millis = infinity }
+      in
+      let covers = (Rqa.Cover_space.enumerate ~budget q).covers in
+      List.filter_map
+        (fun cover ->
+          let small f =
+            Reformulation.Reformulate.count_product_bound reformulator
+              (Jucq.cover_query q cover f)
+            <= memo_test_capacity
+          in
+          if not (List.for_all small cover) then None
+          else begin
+            let j = Jucq.make ~reformulate:(Cache.reformulate cache) q cover in
+            let label what =
+              Printf.sprintf "%s %s %s %s" state name
+                (Jucq.cover_to_string cover) what
+            in
+            List.iter
+              (fun (_, u) ->
+                if not (List.memq u !canonical_checked) then begin
+                  canonical_checked := u :: !canonical_checked;
+                  List.iter
+                    (fun cq ->
+                      if Bgp.raw_compare (Bgp.canonical cq) cq <> 0 then
+                        Alcotest.fail
+                          (label
+                             ("non-idempotent canonical form: "
+                            ^ Bgp.to_string cq)))
+                    (Ucq.disjuncts u)
+                end;
+                Alcotest.(check int64) (label "ucq_cost")
+                  (bits (reference_ucq_cost cm fresh u))
+                  (bits (Rqa.Cost_model.ucq_cost cm u)))
+              j.fragments;
+            let cost = Rqa.Cost_model.jucq_cost cm j in
+            Alcotest.(check int64) (label "jucq_cost")
+              (bits (reference_jucq_cost cm fresh j))
+              (bits cost);
+            Some cost
+          end)
+        covers)
+    queries
+
+let test_cost_memo_bit_identical dataset () =
+  let store, queries = dataset () in
+  let sys = Rqa.Answering.make store in
+  let before = check_costs_bit_identical ~state:"initial" sys queries in
+  (* a new subject under the first triple's property and object, then the
+     first triple itself deleted (not the last: the swap-remove path) *)
+  let first =
+    let d = Rdf.Dictionary.decode (Store.Encoded_store.dictionary store) in
+    tr
+      (d (Store.Encoded_store.subject store 0))
+      (d (Store.Encoded_store.property store 0))
+      (d (Store.Encoded_store.obj store 0))
+  in
+  ignore
+    (Store.Encoded_store.insert_triples store
+       [ tr (u "memo-test-subject") first.pred first.obj ]);
+  let inserted = check_costs_bit_identical ~state:"after insert" sys queries in
+  ignore (Store.Encoded_store.delete_triples store [ first ]);
+  let deleted = check_costs_bit_identical ~state:"after delete" sys queries in
+  Alcotest.(check bool) "the insert moved some cost" true (before <> inserted);
+  Alcotest.(check bool) "the delete moved some cost" true (inserted <> deleted)
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -520,6 +675,14 @@ let () =
           Alcotest.test_case "volume monotonicity" `Quick test_cost_monotone_in_volume;
           Alcotest.test_case "dedup regimes" `Quick test_unique_cost_regimes;
           Alcotest.test_case "calibration" `Quick test_calibration_runs;
+          Alcotest.test_case "memo bit-identical (LUBM)" `Slow
+            (test_cost_memo_bit_identical (fun () ->
+                 ( Workloads.Lubm.generate { Workloads.Lubm.universities = 1 },
+                   Workloads.Lubm.queries )));
+          Alcotest.test_case "memo bit-identical (DBLP)" `Slow
+            (test_cost_memo_bit_identical (fun () ->
+                 ( Workloads.Dblp.generate { Workloads.Dblp.publications = 500 },
+                   Workloads.Dblp.queries )));
         ] );
       ( "objective",
         [ Alcotest.test_case "memoization" `Quick test_objective_memoizes ] );

@@ -140,6 +140,25 @@ let test_stats_ndv () =
   Alcotest.(check int) "ndv objects of p" 1
     (Store.Statistics.ndv stats ~prop:p `Object)
 
+let test_stats_ndv_after_relabel () =
+  let s = sample_store () in
+  let stats = Store.Statistics.create s in
+  let p = code s (u "p") in
+  (* x1 p y1 is not the last triple: the delete relabels the last one *)
+  Alcotest.(check bool) "deleted" true
+    (Store.Encoded_store.delete s (tr (u "x1") (u "p") (u "y1")));
+  Alcotest.(check int) "ndv subjects of p" 1
+    (Store.Statistics.ndv stats ~prop:p `Subject);
+  Alcotest.(check int) "ndv objects of p" 1
+    (Store.Statistics.ndv stats ~prop:p `Object);
+  Alcotest.(check int) "distinct subjects" 3
+    (Store.Statistics.global_distinct stats `Subject);
+  ignore (Store.Encoded_store.delete s (tr (u "x2") (u "p") (u "y1")));
+  Alcotest.(check int) "p gone" 0
+    (Store.Encoded_store.property_ndv s ~prop:p `Subject);
+  Alcotest.(check int) "ndv floor" 1
+    (Store.Statistics.ndv stats ~prop:p `Object)
+
 let test_stats_cq_estimate () =
   let s = sample_store () in
   let stats = Store.Statistics.create s in
@@ -273,9 +292,82 @@ let prop_saturate_matches_graph_saturation =
       in
       Rdf.Graph.equal (Store.Encoded_store.to_graph sat_store) sat_graph)
 
+(* ---- qcheck: store-maintained distinct counts = brute-force recount ---- *)
+
+(* Every counter the store maintains, recounted from its columns: for each
+   dictionary code, its subject and object NDV as a property, and the
+   store-wide distinct s/p/o counts. *)
+let counters_match_recount st =
+  let module Es = Store.Encoded_store in
+  let codes = Rdf.Dictionary.cardinal (Es.dictionary st) in
+  let subj = Array.init codes (fun _ -> Hashtbl.create 4)
+  and obj = Array.init codes (fun _ -> Hashtbl.create 4) in
+  let ss = Hashtbl.create 16 and ps = Hashtbl.create 4 and os = Hashtbl.create 16 in
+  for i = 0 to Es.size st - 1 do
+    let s = Es.subject st i and p = Es.property st i and o = Es.obj st i in
+    Hashtbl.replace subj.(p) s ();
+    Hashtbl.replace obj.(p) o ();
+    Hashtbl.replace ss s ();
+    Hashtbl.replace ps p ();
+    Hashtbl.replace os o ()
+  done;
+  Es.distinct st `Subject = Hashtbl.length ss
+  && Es.distinct st `Property = Hashtbl.length ps
+  && Es.distinct st `Object = Hashtbl.length os
+  && List.for_all
+       (fun prop ->
+         Es.property_ndv st ~prop `Subject = Hashtbl.length subj.(prop)
+         && Es.property_ndv st ~prop `Object = Hashtbl.length obj.(prop))
+       (List.init codes Fun.id)
+
+(* Random insert/delete batches over a small term space, so deletes often
+   hit a stored triple that is not the last one (the swap-remove relabel
+   path); the odd schema constraint checks that constraint triples leave
+   the counters alone. *)
+let gen_batches =
+  QCheck2.Gen.(
+    list_size (int_range 1 12)
+      (pair bool
+         (list_size (int_bound 12)
+            (frequency
+               [
+                 ( 9,
+                   let* s = gen_term and* p = gen_prop and* o = gen_term in
+                   return (tr s p o) );
+                 ( 1,
+                   map2
+                     (fun a b -> tr a Rdf.Vocab.rdfs_subclassof b)
+                     gen_term gen_term );
+               ]))))
+
+let prop_counters_match_recount =
+  QCheck2.Test.make ~count:200
+    ~name:"store NDV and distinct counts = brute-force recount" gen_batches
+    (fun batches ->
+      let module Es = Store.Encoded_store in
+      let st = Es.create Rdf.Schema.empty in
+      List.for_all
+        (fun (ins, triples) ->
+          ignore
+            ((if ins then Es.insert_triples else Es.delete_triples) st triples);
+          counters_match_recount st)
+        batches
+      && begin
+           let path = Filename.temp_file "rqa" ".snap" in
+           Store.Snapshot.save path st;
+           let loaded = Store.Snapshot.load path in
+           Sys.remove path;
+           counters_match_recount loaded
+         end
+      && counters_match_recount (Es.saturate st))
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_count_matches_naive; prop_saturate_matches_graph_saturation ]
+    [
+      prop_count_matches_naive;
+      prop_saturate_matches_graph_saturation;
+      prop_counters_match_recount;
+    ]
 
 let () =
   Alcotest.run "store"
@@ -304,6 +396,8 @@ let () =
           Alcotest.test_case "atom counts" `Quick test_stats_atom_count;
           Alcotest.test_case "repeated variables" `Quick test_stats_repeated_var;
           Alcotest.test_case "ndv" `Quick test_stats_ndv;
+          Alcotest.test_case "ndv after swap-remove" `Quick
+            test_stats_ndv_after_relabel;
           Alcotest.test_case "cq estimates" `Quick test_stats_cq_estimate;
           Alcotest.test_case "invalidation on insert" `Quick test_stats_invalidation_on_insert;
         ] );
