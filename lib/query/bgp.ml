@@ -117,12 +117,28 @@ let rename_var x y q =
   let map_atom a = { s = term a.s; p = term a.p; o = term a.o } in
   { head = List.map term q.head; body = List.map map_atom q.body }
 
+(* Canonical variable names come from preallocated tables: [canonical]
+   runs once per reformulated disjunct, so formatting "h3" or "e1" afresh
+   on every call is measurable. *)
+let name_table prefix = Array.init 64 (fun i -> prefix ^ string_of_int i)
+let h_names = name_table "h"
+let e_names = name_table "e"
+
+let var_name names prefix i =
+  if i < Array.length names then names.(i) else prefix ^ string_of_int i
+
+let rec lookup_name v = function
+  | [] -> raise Not_found
+  | (w, n) :: rest -> if String.equal w v then n else lookup_name v rest
+
+let mem_name v = List.exists (String.equal v)
+
 (* Total parallel renaming: every variable of [q] must be in the mapping's
    domain; all occurrences are replaced in one traversal, so permuting
    renamings cannot capture each other. *)
 let rename_parallel mapping q =
   let term = function
-    | Var v -> Var (List.assoc v mapping)
+    | Var v -> Var (lookup_name v mapping)
     | Const _ as t -> t
   in
   let map_atom a = { s = term a.s; p = term a.p; o = term a.o } in
@@ -142,86 +158,134 @@ let rename_parallel mapping q =
       are almost always singletons, so the factorial search is vestigial.
 
    The result is renaming-invariant and order-invariant, which the
-   reformulation engines rely on for duplicate elimination. *)
+   reformulation engines rely on for duplicate elimination.  Signatures
+   are plain strings and their exact bytes fix the colour ranks and the
+   class order, so the refinement below works on variable indexes but
+   prints every signature exactly as "<i>=<repr>|…" with "c:"/"h:"/"e:"/
+   "self" representations. *)
 let canonical q =
-  let hv = head_vars q in
-  let head_mapping = List.mapi (fun i v -> (v, Printf.sprintf "h%d" i)) hv in
-  let evars = List.filter (fun v -> not (List.mem v hv)) (vars q) in
+  let hv =
+    List.fold_left
+      (fun acc t ->
+        match t with
+        | Var v when not (mem_name v acc) -> v :: acc
+        | Var _ | Const _ -> acc)
+      [] q.head
+    |> List.rev
+  in
+  let head_mapping = List.mapi (fun i v -> (v, var_name h_names "h" i)) hv in
+  (* existential variables in first-occurrence s/p/o order, in one pass *)
+  let evars =
+    let note acc = function
+      | Var v when not (mem_name v hv || mem_name v acc) -> v :: acc
+      | Var _ | Const _ -> acc
+    in
+    List.fold_left (fun acc a -> note (note (note acc a.s) a.p) a.o) [] q.body
+    |> List.rev
+  in
   match evars with
   | [] ->
       let q = rename_parallel head_mapping q in
       { q with body = List.sort_uniq atom_compare q.body }
   | [ only ] ->
       (* Single existential: no symmetry to break. *)
-      let q = rename_parallel ((only, "e0") :: head_mapping) q in
+      let q = rename_parallel ((only, e_names.(0)) :: head_mapping) q in
       { q with body = List.sort_uniq atom_compare q.body }
   | _ ->
       (* --- colour refinement over existential variables --- *)
-      let colour = Hashtbl.create 8 in
-      List.iter (fun v -> Hashtbl.replace colour v 0) evars;
-      let term_repr self = function
-        | Const c -> "c:" ^ Rdf.Term.to_string c
-        | Var v -> (
-            if String.equal v self then "self"
-            else
-              match List.assoc_opt v head_mapping with
-              | Some h -> "h:" ^ h
-              | None -> "e:" ^ string_of_int (Hashtbl.find colour v))
-      in
-      let signature v =
-        let occ =
-          List.concat_map
-            (fun a ->
-              let positions = [ (0, a.s); (1, a.p); (2, a.o) ] in
-              if
-                List.exists
-                  (fun (_, t) -> pattern_term_equal t (Var v))
-                  positions
-              then
-                [
-                  String.concat "|"
-                    (List.map
-                       (fun (i, t) ->
-                         string_of_int i ^ "=" ^ term_repr v t)
-                       positions);
-                ]
-              else [])
-            q.body
+      let ev = Array.of_list evars in
+      let n = Array.length ev in
+      let index v =
+        let rec go i =
+          if i = n then -1 else if String.equal ev.(i) v then i else go (i + 1)
         in
-        String.concat ";" (List.sort String.compare occ)
+        go 0
       in
+      let atoms = Array.of_list q.body in
+      (* Per atom position: the existential's index, or -1 and the
+         position's fixed representation (constants printed once). *)
+      let slot = Array.make_matrix (Array.length atoms) 3 (-1) in
+      let fixed = Array.make_matrix (Array.length atoms) 3 "" in
+      (* occurrences.(k): the atoms (by index) mentioning existential k *)
+      let occurrences = Array.make n [] in
+      Array.iteri
+        (fun j a ->
+          List.iteri
+            (fun i t ->
+              match t with
+              | Var v -> (
+                  match index v with
+                  | -1 -> fixed.(j).(i) <- "h:" ^ lookup_name v head_mapping
+                  | k ->
+                      slot.(j).(i) <- k;
+                      (match occurrences.(k) with
+                      | j' :: _ when j' = j -> ()
+                      | l -> occurrences.(k) <- j :: l))
+              | Const c -> fixed.(j).(i) <- "c:" ^ Rdf.Term.to_string c)
+            [ a.s; a.p; a.o ])
+        atoms;
+      let colour = Array.make n 0 in
+      let buf = Buffer.create 128 in
+      let occurrence k j =
+        Buffer.clear buf;
+        for i = 0 to 2 do
+          if i > 0 then Buffer.add_char buf '|';
+          Buffer.add_string buf (string_of_int i);
+          Buffer.add_char buf '=';
+          match slot.(j).(i) with
+          | -1 -> Buffer.add_string buf fixed.(j).(i)
+          | e when e = k -> Buffer.add_string buf "self"
+          | e ->
+              Buffer.add_string buf "e:";
+              Buffer.add_string buf (string_of_int colour.(e))
+        done;
+        Buffer.contents buf
+      in
+      let signature k =
+        String.concat ";"
+          (List.sort String.compare (List.map (occurrence k) occurrences.(k)))
+      in
+      (* One round: every signature against the current colours, then the
+         new colours (signature ranks).  Returns the round's signatures
+         and whether any colour moved. *)
       let refine () =
-        let sigs = List.map (fun v -> (v, signature v)) evars in
-        let distinct =
-          List.sort_uniq String.compare (List.map snd sigs)
-        in
+        let sigs = Array.init n signature in
+        let distinct = List.sort_uniq String.compare (Array.to_list sigs) in
         let changed = ref false in
-        List.iter
-          (fun (v, s) ->
+        Array.iteri
+          (fun k s ->
             let rec rank i = function
               | [] -> assert false
               | x :: _ when String.equal x s -> i
               | _ :: rest -> rank (i + 1) rest
             in
             let c = rank 0 distinct in
-            if Hashtbl.find colour v <> c then begin
-              Hashtbl.replace colour v c;
+            if colour.(k) <> c then begin
+              colour.(k) <- c;
               changed := true
             end)
           sigs;
-        !changed
+        (sigs, !changed)
       in
-      let rec iterate n = if n > 0 && refine () then iterate (n - 1) in
-      iterate (List.length evars + 2);
+      (* A round that moved no colour leaves the signatures it computed
+         current; when the round limit cuts refinement short they are
+         recomputed against the final colours. *)
+      let rec iterate rounds =
+        let sigs, changed = refine () in
+        if not changed then sigs
+        else if rounds > 1 then iterate (rounds - 1)
+        else Array.init n signature
+      in
+      let sigs = iterate (n + 2) in
       (* --- order colour classes canonically, tie-break exhaustively --- *)
       let classes =
         let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun v ->
-            let key = (Hashtbl.find colour v, signature v) in
+        Array.iteri
+          (fun k v ->
+            let key = (colour.(k), sigs.(k)) in
             Hashtbl.replace tbl key
               (v :: (Option.value ~default:[] (Hashtbl.find_opt tbl key))))
-          evars;
+          ev;
         Hashtbl.fold (fun (_, s) vs acc -> (s, vs) :: acc) tbl []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
         |> List.map snd
@@ -253,7 +317,7 @@ let canonical q =
       let candidate ordering =
         let mapping =
           head_mapping
-          @ List.mapi (fun i v -> (v, Printf.sprintf "e%d" i)) ordering
+          @ List.mapi (fun i v -> (v, var_name e_names "e" i)) ordering
         in
         let q' = rename_parallel mapping q in
         { q' with body = List.sort_uniq atom_compare q'.body }

@@ -43,15 +43,18 @@ type t = {
   schema : Rdf.Schema.t;
   max_terms : int;
   (* atom-closure cache, keyed by the atom with variables positionally
-     renamed (see [atom_key]).  This is the only memo the engine keeps:
+     renamed (see [atom_key]).  The engine memoizes per atom only:
      whole-query UCQs are memoized one level up, by the schema-versioned
      tier of [Cache], which knows when the schema (and hence this entire
      engine) is obsolete — a query-level table here would be version-blind
      and serve stale unions after a schema update. *)
   atom_cache : (string, Bgp.atom list) Hashtbl.t;
-  (* A reformulator is shared across domains (parallel cover costing, the
-     parallel workload driver), so the memo table is guarded: probe under
-     the lock, compute outside it — closures are pure functions of
+  (* [atom_total] per normalized atom key: like a closure, a pure function
+     of (schema, key), so it lives exactly as long as [atom_cache]. *)
+  total_cache : (string, int) Hashtbl.t;
+  (* A reformulator is shared across domains (parallel cover costing,
+     parallel workload runs), so the memo tables are guarded: probe under
+     the lock, compute outside it — values are pure functions of
      (schema, key), so two domains racing to fill the same entry compute
      identical values and the first insert wins — and never hold the lock
      across an expansion. *)
@@ -65,6 +68,7 @@ let create ?(max_terms = 500_000) schema =
     schema;
     max_terms;
     atom_cache = Hashtbl.create 64;
+    total_cache = Hashtbl.create 64;
     lock = Mutex.create ();
   }
 
@@ -134,6 +138,20 @@ module AtomSet = Set.Make (struct
   let compare = Bgp.atom_compare
 end)
 
+(* Probe-compute-fill on one of the reformulator's memo tables (see the
+   locking note on [t]). *)
+let memo t tbl key compute =
+  match locked t (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      locked t (fun () ->
+          match Hashtbl.find_opt tbl key with
+          | Some v -> v  (* another domain filled it first *)
+          | None ->
+              Hashtbl.add tbl key v;
+              v)
+
 (* Atom-local closure under SubClass / Domain / Range / SubProperty.  The
    instantiation rules are handled separately (they substitute through the
    whole CQ).  Fresh variables are all named [fresh_marker]: each closure
@@ -144,9 +162,7 @@ let atom_closure t (a0 : Bgp.atom) : Bgp.atom list =
   let a, inverse = normalize_atom a0 in
   let key = atom_key a in
   let normalized_closure =
-    match locked t (fun () -> Hashtbl.find_opt t.atom_cache key) with
-    | Some atoms -> atoms
-    | None ->
+    memo t t.atom_cache key @@ fun () ->
       let schema = t.schema in
       let fresh = Bgp.Var fresh_marker in
       let expand (x : Bgp.atom) =
@@ -200,13 +216,7 @@ let atom_closure t (a0 : Bgp.atom) : Bgp.atom list =
             let seen = List.fold_left (fun s y -> AtomSet.add y s) seen news in
             fix seen (news @ rest)
       in
-        let closure = AtomSet.elements (fix (AtomSet.singleton a) [ a ]) in
-        locked t (fun () ->
-            match Hashtbl.find_opt t.atom_cache key with
-            | Some atoms -> atoms  (* another domain filled it first *)
-            | None ->
-                Hashtbl.add t.atom_cache key closure;
-                closure)
+      AtomSet.elements (fix (AtomSet.singleton a) [ a ])
   in
   List.map (denormalize_atom inverse) normalized_closure
 
@@ -309,8 +319,10 @@ let assemble ~prefix (cq : Bgp.t) (closures : Bgp.atom list array) :
 
 (* Per-atom reformulation count computed from atom closures alone (no CQ
    materialization): the building block of the pre-construction size
-   check. *)
+   check.  Memoized per normalized atom: an atom with a class or property
+   variable walks the closures of the whole schema. *)
 let rec atom_total t (a : Bgp.atom) =
+  memo t t.total_cache (atom_key (fst (normalize_atom a))) @@ fun () ->
   match a.p with
   | Bgp.Const p when Rdf.Term.equal p Rdf.Vocab.rdf_type -> (
       match a.o with
@@ -331,11 +343,15 @@ let rec atom_total t (a : Bgp.atom) =
       in
       1 + via_props + atom_total t (Bgp.atom a.s (Bgp.Const Rdf.Vocab.rdf_type) a.o)
 
+(* The product saturates at [max_int]: nine atoms of total 188 already
+   overflow a 63-bit int. *)
 let count_product_bound t (q : Bgp.t) =
-  let cap = max_int / 4 in
   List.fold_left
     (fun acc a ->
-      if acc > cap then acc else acc * max 1 (atom_total t a))
+      if acc = max_int then acc
+      else
+        let m = max 1 (atom_total t a) in
+        if acc > max_int / m then max_int else acc * m)
     1 q.body
 
 let reformulate t (q : Bgp.t) : Ucq.t =

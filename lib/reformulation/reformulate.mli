@@ -24,8 +24,8 @@
       cannot know when a store update obsoletes it. *)
 
 type t
-(** A reformulation engine bound to one schema, with an internal
-    atom-closure cache. *)
+(** A reformulation engine bound to one schema, with internal per-atom
+    caches (closures and reformulation counts). *)
 
 exception Too_large of { bound : int; limit : int }
 (** Raised when a reformulation's size provably exceeds the engine's
@@ -57,8 +57,9 @@ val count_product_bound : t -> Query.Bgp.t -> int
     reformulation counts.  Exact whenever no class/property variable is
     shared between atoms and no two derived CQs are isomorphic — which
     holds for all the paper's evaluation queries — and an upper bound
-    otherwise.  Used to refuse over-capacity unions without building
-    them. *)
+    otherwise.  Saturates at [max_int] rather than overflowing.  Per-atom
+    counts are memoized with the atom closures.  Used to refuse
+    over-capacity unions without building them. *)
 
 val reformulate_naive : Rdf.Schema.t -> Query.Bgp.t -> Query.Ucq.t
 (** Reference breadth-first fixpoint (exponentially slower; tests only). *)

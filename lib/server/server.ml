@@ -63,8 +63,9 @@ type t = {
   inflight : int Atomic.t;
   served : int Atomic.t;
   lock : Mutex.t;
-  conns : (int, Unix.file_descr) Hashtbl.t;
-  mutable conn_threads : Thread.t list;
+  (* live connections: each one's descriptor and thread, removed by the
+     connection itself when it ends *)
+  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
   mutable conn_seq : int;
   mutable accept_thread : Thread.t option;
   mutable drained : bool;
@@ -73,6 +74,7 @@ type t = {
 let port t = t.bound_port
 let epoch t = t.ep
 let requests_served t = Atomic.get t.served
+let connections t = Mutex.protect t.lock (fun () -> Hashtbl.length t.conns)
 
 (* ---- request handling ---- *)
 
@@ -356,9 +358,10 @@ let accept_loop t =
             Mutex.lock t.lock;
             let id = t.conn_seq in
             t.conn_seq <- id + 1;
-            Hashtbl.replace t.conns id fd;
+            (* the lock is held until the entry is in: [client_main]'s
+               removal cannot run first *)
             let th = Thread.create (fun () -> client_main t id fd) () in
-            t.conn_threads <- th :: t.conn_threads;
+            Hashtbl.replace t.conns id (fd, th);
             Mutex.unlock t.lock)
   done
 
@@ -404,7 +407,6 @@ let start config store =
       served = Atomic.make 0;
       lock = Mutex.create ();
       conns = Hashtbl.create 16;
-      conn_threads = [];
       conn_seq = 0;
       accept_thread = None;
       drained = false;
@@ -439,13 +441,12 @@ let stop t =
     Mutex.lock t.lock;
     let first = not t.drained in
     t.drained <- true;
-    let threads = t.conn_threads in
-    t.conn_threads <- [];
+    let threads = Hashtbl.fold (fun _ (_, th) acc -> th :: acc) t.conns [] in
     (* half-close: blocked readers see EOF; in-flight responses still
        flush through the send side *)
     if first then
       Hashtbl.iter
-        (fun _ fd ->
+        (fun _ (fd, _) ->
           try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
           with Unix.Unix_error _ -> ())
         t.conns;

@@ -64,6 +64,11 @@ val epoch : t -> Store.Epoch.t
 val requests_served : t -> int
 (** Total requests answered (OK and ERR) since {!start}. *)
 
+val connections : t -> int
+(** Number of live client connections.  A connection leaves the count
+    (and its thread the server's table) when it ends, so a long-running
+    server holds nothing for past clients. *)
+
 val request_stop : t -> unit
 (** Asynchronously initiates shutdown: stops accepting and wakes the
     accept loop.  Safe to call from a signal handler; in-flight requests
@@ -77,5 +82,5 @@ val stop : t -> unit
 (** Graceful drain: {!request_stop}, then half-closes every client
     connection (pending requests complete and their responses are
     delivered; idle connections see EOF) and joins every connection
-    thread.  Idempotent.  The caller owns the process-global {!Par} pool
+    thread still running.  Idempotent.  The caller owns the process-global {!Par} pool
     ([Par.shutdown_global] if no further work follows). *)

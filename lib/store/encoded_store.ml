@@ -158,17 +158,8 @@ let remove_from_posting tbl key id =
 let relabel_in_posting tbl key ~from ~to_ =
   match Hashtbl.find_opt tbl key with
   | None -> ()
-  | Some v ->
-      let n = Intvec.length v in
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue && !i < n do
-        if Intvec.get v !i = from then begin
-          Intvec.set v !i to_;
-          continue := false
-        end;
-        incr i
-      done
+  | Some v -> (
+      match Intvec.index v from with -1 -> () | i -> Intvec.set v i to_)
 
 let delete_code t s p o =
   match Hashtbl.find_opt t.ids (s, p, o) with

@@ -29,9 +29,16 @@ let pop v =
   v.len <- v.len - 1;
   v.data.(v.len)
 
+let index v x =
+  let data = v.data and len = v.len in
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get data !i <> x do
+    incr i
+  done;
+  if !i < len then !i else -1
+
 let swap_remove_value v x =
-  let rec find i = if i >= v.len then -1 else if v.data.(i) = x then i else find (i + 1) in
-  let i = find 0 in
+  let i = index v x in
   if i < 0 then false
   else begin
     let last = pop v in

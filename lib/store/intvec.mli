@@ -29,6 +29,10 @@ val pop : t -> int
     empty vector.  With {!set}, this is the swap-remove primitive the
     store's deletion path uses on columns and posting lists. *)
 
+val index : t -> int -> int
+(** [index v x] is the position of the first occurrence of [x], or [-1].
+    O(length): the posting scans of the store's deletion path. *)
+
 val swap_remove_value : t -> int -> bool
 (** [swap_remove_value v x] removes one occurrence of [x] by overwriting it
     with the last element and shrinking by one (order is not preserved).

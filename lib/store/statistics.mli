@@ -18,10 +18,18 @@
       makes this an upper bound; duplicate ratios are workload-dependent
       and deliberately not modeled, as in the paper's simple cost model).
 
-    CQ estimates are cached per (statistics, canonical CQ); the cache
-    tracks the store's {!Encoded_store.data_version} and flushes after
-    updates, so a long-lived system keeps estimating correctly as data
-    arrives. *)
+    CQ estimates are cached per statistics instance, keyed by the CQ's
+    canonical form encoded one int per position — head arity, head terms,
+    then each body atom's [s p o] — with constants as dictionary codes and
+    variables (and constants absent from the dictionary) as negative ids
+    from per-instance tables.  The key distinguishes exactly what the
+    printed canonical form distinguishes.  The first computation under a
+    key wins: a UCQ disjunct (already canonical) and a {!cq_cardinality}
+    call on any CQ with that canonical form read the same cached value,
+    whichever came first, even though each computes its estimate in its
+    own atom order.  The cache tracks the store's
+    {!Encoded_store.data_version} and flushes after updates, so a
+    long-lived system keeps estimating correctly as data arrives. *)
 
 type t
 

@@ -652,6 +652,309 @@ let prop_minimize_preserves_answers =
       let ucq = Ucq.of_cqs normalized in
       Ucq.eval g (Containment.minimize ucq) = Ucq.eval g ucq)
 
+(* ---- canonical form: differential against the string-signature
+   reference ---- *)
+
+(* The canonical-form implementation that [Bgp.canonical] replaced, kept
+   verbatim as the reference: the fast form must agree with it byte for
+   byte, since every cache key and UCQ order is built on it. *)
+module Reference = struct
+  open Bgp
+
+  (* Total parallel renaming: every variable of [q] must be in the mapping's
+     domain; all occurrences are replaced in one traversal, so permuting
+     renamings cannot capture each other. *)
+  let rename_parallel mapping q =
+    let term = function
+      | Var v -> Var (List.assoc v mapping)
+      | Const _ as t -> t
+    in
+    let map_atom a = { s = term a.s; p = term a.p; o = term a.o } in
+    { head = List.map term q.head; body = List.map map_atom q.body }
+
+  (* Canonical form: an exact canonicalization of the query modulo renaming
+     of non-distinguished (existential) variables and reordering of atoms.
+     Distinguished variables are pinned positionally to h0, h1, …; the
+     existential variables are then assigned e0, e1, … by
+
+     1. colour refinement: each existential variable gets a signature built
+        from its occurrences (position within the atom, the other positions'
+        contents, with existential neighbours represented by their current
+        colour), iterated until the partition stabilizes; and
+     2. exhaustive tie-breaking: within a colour class the assignment that
+        yields the lexicographically least sorted body is chosen.  Classes
+        are almost always singletons, so the factorial search is vestigial.
+
+     The result is renaming-invariant and order-invariant, which the
+     reformulation engines rely on for duplicate elimination. *)
+  let canonical q =
+    let hv = head_vars q in
+    let head_mapping = List.mapi (fun i v -> (v, Printf.sprintf "h%d" i)) hv in
+    let evars = List.filter (fun v -> not (List.mem v hv)) (vars q) in
+    match evars with
+    | [] ->
+        let q = rename_parallel head_mapping q in
+        { q with body = List.sort_uniq atom_compare q.body }
+    | [ only ] ->
+        (* Single existential: no symmetry to break. *)
+        let q = rename_parallel ((only, "e0") :: head_mapping) q in
+        { q with body = List.sort_uniq atom_compare q.body }
+    | _ ->
+        (* --- colour refinement over existential variables --- *)
+        let colour = Hashtbl.create 8 in
+        List.iter (fun v -> Hashtbl.replace colour v 0) evars;
+        let term_repr self = function
+          | Const c -> "c:" ^ Rdf.Term.to_string c
+          | Var v -> (
+              if String.equal v self then "self"
+              else
+                match List.assoc_opt v head_mapping with
+                | Some h -> "h:" ^ h
+                | None -> "e:" ^ string_of_int (Hashtbl.find colour v))
+        in
+        let signature v =
+          let occ =
+            List.concat_map
+              (fun a ->
+                let positions = [ (0, a.s); (1, a.p); (2, a.o) ] in
+                if
+                  List.exists
+                    (fun (_, t) -> pattern_term_equal t (Var v))
+                    positions
+                then
+                  [
+                    String.concat "|"
+                      (List.map
+                         (fun (i, t) ->
+                           string_of_int i ^ "=" ^ term_repr v t)
+                         positions);
+                  ]
+                else [])
+              q.body
+          in
+          String.concat ";" (List.sort String.compare occ)
+        in
+        let refine () =
+          let sigs = List.map (fun v -> (v, signature v)) evars in
+          let distinct =
+            List.sort_uniq String.compare (List.map snd sigs)
+          in
+          let changed = ref false in
+          List.iter
+            (fun (v, s) ->
+              let rec rank i = function
+                | [] -> assert false
+                | x :: _ when String.equal x s -> i
+                | _ :: rest -> rank (i + 1) rest
+              in
+              let c = rank 0 distinct in
+              if Hashtbl.find colour v <> c then begin
+                Hashtbl.replace colour v c;
+                changed := true
+              end)
+            sigs;
+          !changed
+        in
+        let rec iterate n = if n > 0 && refine () then iterate (n - 1) in
+        iterate (List.length evars + 2);
+        (* --- order colour classes canonically, tie-break exhaustively --- *)
+        let classes =
+          let tbl = Hashtbl.create 8 in
+          List.iter
+            (fun v ->
+              let key = (Hashtbl.find colour v, signature v) in
+              Hashtbl.replace tbl key
+                (v :: (Option.value ~default:[] (Hashtbl.find_opt tbl key))))
+            evars;
+          Hashtbl.fold (fun (_, s) vs acc -> (s, vs) :: acc) tbl []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+          |> List.map snd
+        in
+        let rec permutations = function
+          | [] -> [ [] ]
+          | l ->
+              List.concat_map
+                (fun x ->
+                  List.map (fun rest -> x :: rest)
+                    (permutations (List.filter (fun y -> y <> x) l)))
+                l
+        in
+        let orderings =
+          (* All concatenations of within-class permutations, class order
+             fixed.  Cap the search to avoid pathological blow-ups; queries
+             with >6-way symmetric variables fall back to a fixed order
+             (costing at worst a missed duplicate). *)
+          List.fold_left
+            (fun acc cls ->
+              let perms =
+                if List.length cls > 6 then [ cls ] else permutations cls
+              in
+              List.concat_map
+                (fun prefix -> List.map (fun p -> prefix @ p) perms)
+                acc)
+            [ [] ] classes
+        in
+        let candidate ordering =
+          let mapping =
+            head_mapping
+            @ List.mapi (fun i v -> (v, Printf.sprintf "e%d" i)) ordering
+          in
+          let q' = rename_parallel mapping q in
+          { q' with body = List.sort_uniq atom_compare q'.body }
+        in
+        let better a b =
+          let c = List.compare atom_compare a.body b.body in
+          if c <> 0 then c < 0
+          else List.compare pattern_term_compare a.head b.head < 0
+        in
+        List.fold_left
+          (fun best ordering ->
+            let cand = candidate ordering in
+            match best with
+            | None -> Some cand
+            | Some b -> if better cand b then Some cand else best)
+          None orderings
+        |> Option.get
+
+end
+
+let canonical_agrees q =
+  let fast = Bgp.canonical q in
+  Bgp.raw_compare fast (Reference.canonical q) = 0
+  && Bgp.raw_compare (Bgp.canonical fast) fast = 0
+
+(* An isomorphic copy: atoms shuffled, every variable renamed apart. *)
+let scramble st (q : Bgp.t) =
+  let body = Array.of_list q.Bgp.body in
+  for i = Array.length body - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = body.(i) in
+    body.(i) <- body.(j);
+    body.(j) <- t
+  done;
+  let names = Hashtbl.create 8 in
+  let term = function
+    | Bgp.Var x -> (
+        match Hashtbl.find_opt names x with
+        | Some y -> Bgp.Var y
+        | None ->
+            let y =
+              Printf.sprintf "z%d_%d" (Random.State.int st 1000)
+                (Hashtbl.length names)
+            in
+            Hashtbl.add names x y;
+            Bgp.Var y)
+    | Bgp.Const _ as t -> t
+  in
+  let atoms =
+    List.map
+      (fun (a : Bgp.atom) -> Bgp.atom (term a.s) (term a.p) (term a.o))
+      (Array.to_list body)
+  in
+  { Bgp.head = List.map term q.head; body = atoms }
+
+(* Small BGPs over a six-variable pool: repeated variables inside atoms,
+   property variables, and constants (also in the head). *)
+let gen_diff_bgp =
+  QCheck2.Gen.(
+    let var = map (fun i -> v (Printf.sprintf "x%d" i)) (int_bound 5) in
+    let term = frequency [ (3, var); (1, gen_const) ] in
+    let prop = frequency [ (3, gen_prop_const); (1, var) ] in
+    let* n = int_range 2 7 in
+    let* body =
+      list_size (return n)
+        (let* s = term in
+         let* p = prop in
+         let* o = term in
+         return (Bgp.atom s p o))
+    in
+    let vars = Array.of_list (Bgp.vars { Bgp.head = []; body }) in
+    let head_term =
+      if Array.length vars = 0 then gen_const
+      else
+        frequency
+          [ (3, map (fun i -> v vars.(i)) (int_bound (Array.length vars - 1)));
+            (1, gen_const) ]
+    in
+    let* head = list_size (int_bound 3) head_term in
+    return (Bgp.make head body))
+
+(* Seven interchangeable existentials around one centre (a head variable,
+   an existential or a constant): a colour class above the six-variable
+   tie-break cap. *)
+let gen_symmetric_bgp =
+  QCheck2.Gen.(
+    let* centre = oneofl [ `Head; `Existential; `Const ] in
+    let* outward = bool in
+    let* p = gen_prop_const in
+    let* head_const = bool in
+    let hub =
+      match centre with
+      | `Head | `Existential -> v "c"
+      | `Const -> c (u "n0")
+    in
+    let body =
+      List.init 7 (fun i ->
+          let e = v (Printf.sprintf "e%d" i) in
+          if outward then Bgp.atom hub p e else Bgp.atom e p hub)
+    in
+    let head =
+      (match centre with `Head -> [ v "c" ] | `Existential | `Const -> [])
+      @ if head_const then [ c (lit "1") ] else []
+    in
+    return (Bgp.make head body))
+
+let prop_canonical_matches_reference =
+  QCheck2.Test.make ~count:1000
+    ~name:"canonical = reference on small and symmetric BGPs"
+    QCheck2.Gen.(
+      pair (frequency [ (4, gen_diff_bgp); (1, gen_symmetric_bgp) ]) int)
+    (fun (q, seed) ->
+      canonical_agrees q
+      && canonical_agrees (scramble (Random.State.make [| seed |]) q))
+
+(* Every reformulated disjunct of every fragment of the workload queries
+   (at most 500 covers per query), plus LUBM Q28's whole reformulation,
+   each scrambled, canonicalized by both implementations. *)
+let test_canonical_workload_reference () =
+  let mismatches = ref 0 and checked = ref 0 in
+  let st = Random.State.make [| 13 |] in
+  let check_ucq u =
+    List.iter
+      (fun d ->
+        incr checked;
+        if not (canonical_agrees (scramble st d)) then incr mismatches)
+      (Ucq.disjuncts u)
+  in
+  let budget = { Rqa.Cover_space.max_covers = 500; max_millis = 60_000.0 } in
+  List.iter
+    (fun (schema, queries) ->
+      let refm = Reformulation.Reformulate.create schema in
+      List.iter
+        (fun (_, q) ->
+          let { Rqa.Cover_space.covers; _ } =
+            Rqa.Cover_space.enumerate ~budget q
+          in
+          List.concat_map
+            (fun cover -> List.map (Jucq.cover_query q cover) cover)
+            covers
+          |> List.sort_uniq Bgp.raw_compare
+          |> List.iter (fun f ->
+                 match Reformulation.Reformulate.reformulate refm f with
+                 | u -> check_ucq u
+                 | exception Reformulation.Reformulate.Too_large _ -> ()))
+        queries)
+    [
+      (Workloads.Lubm.schema, Workloads.Lubm.queries);
+      (Workloads.Dblp.schema, Workloads.Dblp.queries);
+    ];
+  check_ucq
+    (Reformulation.Reformulate.reformulate
+       (Reformulation.Reformulate.create Workloads.Lubm.schema)
+       (Workloads.Lubm.query "Q28"));
+  Alcotest.(check bool) "disjuncts checked" true (!checked > 300_000);
+  Alcotest.(check int) "mismatches" 0 !mismatches
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -659,6 +962,7 @@ let qcheck_cases =
       prop_eval_head_arity;
       prop_jucq_identity_covers;
       prop_minimize_preserves_answers;
+      prop_canonical_matches_reference;
     ]
 
 let () =
@@ -677,6 +981,8 @@ let () =
           Alcotest.test_case "isomorphism" `Quick test_canonical_iso;
           Alcotest.test_case "heads distinguish" `Quick test_canonical_distinguishes_head;
           Alcotest.test_case "swapped existentials" `Quick test_canonical_swapped_existentials;
+          Alcotest.test_case "workload disjuncts = reference" `Slow
+            test_canonical_workload_reference;
         ] );
       ( "eval",
         [

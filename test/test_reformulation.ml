@@ -158,6 +158,91 @@ let test_product_bound_vs_exact () =
     (Reformulation.Reformulate.count_product_bound engine coupled
     >= Reformulation.Reformulate.count engine coupled)
 
+(* Nine rdf:type atoms on LUBM: seven with a class variable (188
+   reformulations each) and two on ub:Person (42 each).  The product is
+   far beyond a 63-bit int: the bound saturates instead of wrapping
+   negative, in any atom order, and [reformulate] refuses the query before
+   enumerating anything. *)
+let test_product_bound_saturates () =
+  let module R = Reformulation.Reformulate in
+  let refm = R.create Workloads.Lubm.schema in
+  let person = c (u (Workloads.Lubm.ns ^ "Person")) in
+  let x i = v (Printf.sprintf "x%d" i) in
+  let single a = { Bgp.head = []; body = [ a ] } in
+  let class_atoms =
+    List.init 7 (fun i -> Bgp.atom (x i) (c typ) (v (Printf.sprintf "c%d" i)))
+  in
+  let person_atoms = [ Bgp.atom (x 0) (c typ) person; Bgp.atom (x 1) (c typ) person ] in
+  Alcotest.(check int) "class-variable atom" 188
+    (R.count_product_bound refm (single (List.hd class_atoms)));
+  Alcotest.(check int) "Person atom" 42
+    (R.count_product_bound refm (single (List.hd person_atoms)));
+  let body = class_atoms @ person_atoms in
+  let rotations =
+    List.init (List.length body) (fun k ->
+        List.filteri (fun i _ -> i >= k) body @ List.filteri (fun i _ -> i < k) body)
+  in
+  List.iter
+    (fun body ->
+      Alcotest.(check int) "saturated" max_int
+        (R.count_product_bound refm (Bgp.make [ x 0 ] body)))
+    (rotations @ List.map List.rev rotations);
+  let q = Bgp.make [ x 0 ] body in
+  Alcotest.(check bool) "bound ≥ max_terms" true
+    (R.count_product_bound refm q >= 500_000);
+  let start = Unix.gettimeofday () in
+  Alcotest.(check bool) "raises Too_large" true
+    (try ignore (R.reformulate refm q : Ucq.t); false
+     with R.Too_large { bound; _ } -> bound = max_int);
+  Alcotest.(check bool) "refused promptly" true
+    (Unix.gettimeofday () -. start < 5.0)
+
+(* The bound one long-lived reformulator computes through its per-atom
+   memo equals the product of per-atom totals each computed on a fresh
+   reformulator, for every fragment of every workload query. *)
+let test_product_bound_memo () =
+  let module R = Reformulation.Reformulate in
+  let module AtomMap = Map.Make (struct
+    type t = Bgp.atom
+
+    let compare = Bgp.atom_compare
+  end) in
+  let budget = { Rqa.Cover_space.max_covers = 500; max_millis = 60_000.0 } in
+  let checked = ref 0 in
+  List.iter
+    (fun (schema, queries) ->
+      let warm = R.create schema in
+      let cold = ref AtomMap.empty in
+      let cold_total a =
+        match AtomMap.find_opt a !cold with
+        | Some n -> n
+        | None ->
+            let n =
+              R.count_product_bound (R.create schema) { Bgp.head = []; body = [ a ] }
+            in
+            cold := AtomMap.add a n !cold;
+            n
+      in
+      let sat_mul a b = if a > max_int / b then max_int else a * b in
+      List.iter
+        (fun (name, q) ->
+          let { Rqa.Cover_space.covers; _ } = Rqa.Cover_space.enumerate ~budget q in
+          List.concat_map
+            (fun cover -> List.map (Jucq.cover_query q cover) cover)
+            covers
+          |> List.sort_uniq Bgp.raw_compare
+          |> List.iter (fun (f : Bgp.t) ->
+                 incr checked;
+                 Alcotest.(check int) name
+                   (List.fold_left (fun acc a -> sat_mul acc (cold_total a)) 1 f.body)
+                   (R.count_product_bound warm f)))
+        queries)
+    [
+      (Workloads.Lubm.schema, Workloads.Lubm.queries);
+      (Workloads.Dblp.schema, Workloads.Dblp.queries);
+    ];
+  Alcotest.(check bool) "fragments checked" true (!checked > 0)
+
 (* ---- Multi-atom joint reformulation ---- *)
 
 let test_joint_reformulation_product () =
@@ -353,6 +438,10 @@ let () =
           Alcotest.test_case "cache consistency" `Quick test_cache_consistency;
           Alcotest.test_case "construction cap" `Quick test_construction_cap;
           Alcotest.test_case "product bound vs exact" `Quick test_product_bound_vs_exact;
+          Alcotest.test_case "product bound saturates" `Quick
+            test_product_bound_saturates;
+          Alcotest.test_case "memoized bound = cold bound" `Slow
+            test_product_bound_memo;
         ] );
       ( "joint",
         [

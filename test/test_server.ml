@@ -493,6 +493,29 @@ let test_server_admission_reject () =
   Alcotest.(check int) "no rows leak past the gate" 0 (List.length rows);
   ignore (request (ic, oc) "QUIT")
 
+(* A finished connection leaves the server's table (descriptor and
+   thread), so a long-running server does not grow with its clients. *)
+let test_server_reaps_connections () =
+  let store = stress_store () in
+  let srv = Server.start { Server.default_config with warm = [] } store in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  for _ = 1 to 200 do
+    let fd, ic, oc = connect (Server.port srv) in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Alcotest.(check string) "ping" "OK pong" (fst (request (ic, oc) "PING"));
+        Alcotest.(check string) "quit" "OK bye" (fst (request (ic, oc) "QUIT")))
+  done;
+  (* a connection's thread removes its entry just after answering QUIT *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Server.connections srv > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check int) "table empty" 0 (Server.connections srv);
+  Server.stop srv;
+  Alcotest.(check int) "empty after stop" 0 (Server.connections srv)
+
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_no_torn_reads ]
 
@@ -525,5 +548,7 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "admission gate" `Quick test_server_admission_reject;
+          Alcotest.test_case "finished connections reaped" `Quick
+            test_server_reaps_connections;
         ] );
     ]

@@ -31,6 +31,19 @@ let test_intvec_roundtrip () =
   Alcotest.(check (array int)) "roundtrip" a
     (Store.Intvec.to_array (Store.Intvec.of_array a))
 
+let test_intvec_index_swap_remove () =
+  let vec = Store.Intvec.of_array [| 4; 7; 9; 7 |] in
+  Alcotest.(check int) "first occurrence" 1 (Store.Intvec.index vec 7);
+  Alcotest.(check int) "absent" (-1) (Store.Intvec.index vec 5);
+  Alcotest.(check bool) "removed" true (Store.Intvec.swap_remove_value vec 4);
+  Alcotest.(check (array int)) "last moved in" [| 7; 7; 9 |]
+    (Store.Intvec.to_array vec);
+  Alcotest.(check bool) "absent not removed" false
+    (Store.Intvec.swap_remove_value vec 4);
+  ignore (Store.Intvec.pop vec : int);
+  Alcotest.(check int) "popped cell not searched" (-1)
+    (Store.Intvec.index vec 9)
+
 (* ---- Encoded_store ---- *)
 
 let sample_schema =
@@ -197,6 +210,113 @@ let test_stats_invalidation_on_insert () =
   Alcotest.(check (float 0.001)) "cq estimate refreshed" 3.0
     (Store.Statistics.cq_cardinality stats
        (Query.Bgp.make [ v "x" ] [ atom ]))
+
+(* ---- Statistics: the estimate cache ---- *)
+
+let bits =
+  Alcotest.testable
+    (fun fmt x -> Format.fprintf fmt "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+(* Three properties whose estimate depends on the atom order in the last
+   bit: [pa] 1 triple over 1 subject, [pb] 3 over 3, [pc] 7 over 5.  In
+   order a, b, c a star on the subject estimates 1.4; in order c, b, a
+   1.4000000000000001. *)
+let order_store () =
+  let s = Store.Encoded_store.create Rdf.Schema.empty in
+  let add sub prop obj = Store.Encoded_store.insert s (tr (u sub) (u prop) (u obj)) in
+  add "s1" "pa" "o";
+  List.iter (fun sub -> add sub "pb" "o") [ "s1"; "s2"; "s3" ];
+  List.iter
+    (fun (sub, obj) -> add sub "pc" obj)
+    [ ("s1", "o1"); ("s1", "o2"); ("s2", "o1"); ("s2", "o2"); ("s3", "o1");
+      ("s4", "o1"); ("s5", "o1") ];
+  s
+
+let star ?(extra_head = []) x props =
+  Query.Bgp.make
+    (v x :: extra_head)
+    (List.mapi (fun i p -> Query.Bgp.atom (v x) (c (u p)) (v (x ^ string_of_int i))) props)
+
+let forward = [ "pa"; "pb"; "pc" ]
+let backward = [ "pc"; "pb"; "pa" ]
+let est_forward = 1.4
+let est_backward = 1.4000000000000001
+
+(* A disjunct (canonical, atoms in forward order) and a [cq_cardinality]
+   call on a backward-ordered isomorphic CQ share one entry: whichever is
+   computed first is what both read. *)
+let test_stats_cache_first_wins () =
+  let s = order_store () in
+  let disjunct = Query.Ucq.of_cqs [ star "x" backward ] in
+  let reordered = star "y" backward in
+  Alcotest.(check bits) "precondition: orders differ" est_forward
+    (Store.Statistics.ucq_cardinality (Store.Statistics.create s) disjunct);
+  Alcotest.(check bits) "precondition: backward" est_backward
+    (Store.Statistics.cq_cardinality (Store.Statistics.create s) reordered);
+  let stats = Store.Statistics.create s in
+  ignore (Store.Statistics.ucq_cardinality stats disjunct : float);
+  Alcotest.(check bits) "disjunct first" est_forward
+    (Store.Statistics.cq_cardinality stats reordered);
+  let stats = Store.Statistics.create s in
+  ignore (Store.Statistics.cq_cardinality stats reordered : float);
+  Alcotest.(check bits) "cq first" est_backward
+    (Store.Statistics.ucq_cardinality stats disjunct);
+  Alcotest.(check bits) "cq first (volume pass)" est_backward
+    (snd (Store.Statistics.ucq_volume_and_cardinality stats disjunct))
+
+(* Head constants absent from the dictionary are part of the key: two
+   of them keep two entries, one of them twice shares. *)
+let test_stats_cache_absent_head () =
+  let s = order_store () in
+  let stats = Store.Statistics.create s in
+  let head k = [ c (u k) ] in
+  ignore
+    (Store.Statistics.cq_cardinality stats
+       (star ~extra_head:(head "absent1") "x" forward) : float);
+  Alcotest.(check bits) "other absent constant: own entry" est_backward
+    (Store.Statistics.cq_cardinality stats
+       (star ~extra_head:(head "absent2") "x" backward));
+  Alcotest.(check bits) "same absent constant: shared entry" est_forward
+    (Store.Statistics.cq_cardinality stats
+       (star ~extra_head:(head "absent1") "z" backward))
+
+let test_stats_absent_body_constant () =
+  let s = order_store () in
+  let stats = Store.Statistics.create s in
+  let q =
+    Query.Bgp.make [ v "x" ]
+      [ Query.Bgp.atom (v "x") (c (u "pa")) (v "y");
+        Query.Bgp.atom (v "y") (c (u "pb")) (c (u "nosuch")) ]
+  in
+  Alcotest.(check bits) "cq" 0.0 (Store.Statistics.cq_cardinality stats q);
+  let volume, card =
+    Store.Statistics.ucq_volume_and_cardinality (Store.Statistics.create s)
+      (Query.Ucq.of_cqs [ q ])
+  in
+  Alcotest.(check bits) "ucq" 0.0 card;
+  Alcotest.(check bits) "volume counts the present atom" 1.0 volume
+
+(* An atom with a repeated variable counts only the triples whose two
+   positions agree, in every estimation path. *)
+let test_stats_repeated_var_estimates () =
+  let s = Store.Encoded_store.create Rdf.Schema.empty in
+  List.iter (Store.Encoded_store.insert s)
+    [ tr (u "a") (u "p") (u "a"); tr (u "a") (u "p") (u "b");
+      tr (u "b") (u "p") (u "b"); tr (u "p") (u "p") (u "c") ];
+  let stats = Store.Statistics.create s in
+  let xpx = Query.Bgp.make [ v "x" ] [ Query.Bgp.atom (v "x") (c (u "p")) (v "x") ] in
+  let xxy =
+    Query.Bgp.make [ v "x" ] [ Query.Bgp.atom (v "x") (v "x") (v "y") ]
+  in
+  Alcotest.(check bits) "x p x" 2.0 (Store.Statistics.cq_cardinality stats xpx);
+  Alcotest.(check bits) "x x y" 1.0 (Store.Statistics.cq_cardinality stats xxy);
+  let volume, card =
+    Store.Statistics.ucq_volume_and_cardinality (Store.Statistics.create s)
+      (Query.Ucq.of_cqs [ xpx ])
+  in
+  Alcotest.(check bits) "volume" 2.0 volume;
+  Alcotest.(check bits) "ucq" 2.0 card
 
 (* ---- Snapshot ---- *)
 
@@ -377,6 +497,8 @@ let () =
           Alcotest.test_case "push/get/set" `Quick test_intvec_push_get;
           Alcotest.test_case "bounds" `Quick test_intvec_bounds;
           Alcotest.test_case "roundtrip" `Quick test_intvec_roundtrip;
+          Alcotest.test_case "index and swap-remove" `Quick
+            test_intvec_index_swap_remove;
         ] );
       ( "encoded_store",
         [
@@ -400,6 +522,14 @@ let () =
             test_stats_ndv_after_relabel;
           Alcotest.test_case "cq estimates" `Quick test_stats_cq_estimate;
           Alcotest.test_case "invalidation on insert" `Quick test_stats_invalidation_on_insert;
+          Alcotest.test_case "cache: first computation wins" `Quick
+            test_stats_cache_first_wins;
+          Alcotest.test_case "cache: absent head constants" `Quick
+            test_stats_cache_absent_head;
+          Alcotest.test_case "absent body constant" `Quick
+            test_stats_absent_body_constant;
+          Alcotest.test_case "repeated variables in estimates" `Quick
+            test_stats_repeated_var_estimates;
         ] );
       ("properties", qcheck_cases);
     ]
