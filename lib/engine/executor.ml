@@ -124,12 +124,16 @@ let charge t n =
   if t.ops > t.profile.Profile.max_operations then
     fail t (Profile.Operation_budget { limit = t.profile.Profile.max_operations })
 
-let check_materialization t rel =
-  let rows = Relation.rows rel in
+(* The materialization ceiling, on a row count: a relation's, or the
+   pre-dedup count of a fragment that never materializes its pre-dedup
+   rows. *)
+let check_rows t rows =
   if rows > t.profile.Profile.max_materialized_rows then
     fail t
       (Profile.Materialization_overflow
          { rows; limit = t.profile.Profile.max_materialized_rows })
+
+let check_materialization t rel = check_rows t (Relation.rows rel)
 
 (* ---- charge logs (record-and-replay) ----
 
@@ -548,7 +552,7 @@ let exec_cq_morsel t pool ?counters ~msize ~n (p : plan) ~emit =
       replay t log;
       Relation.iteri_flat
         (fun _ data off ->
-          Array.blit data off buf 0 w;
+          Store.Intvec.blit_ints data off buf 0 w;
           emit buf)
         rel)
     results
@@ -725,13 +729,29 @@ let exec_cq_traced t ?stats p ~emit =
         ~finally:(fun () -> attach_scan_chain p ctr parent)
         (fun () -> exec_cq_auto t ~counters:ctr p ~emit)
 
-(* Duplicate elimination at statement level: partitioned parallel dedup
-   with the first-occurrence order of [Relation.dedup], sequential
-   fallback when the pool is narrow or busy.  Charges nothing — the call
-   sites keep their own bulk charges, so the charge stream is unchanged. *)
-let dedup_rel ?stats t rel =
-  Morsel.dedup ?stats (Par.get ())
-    ~morsel:(Profile.morsel_size t.profile)
+(* ---- fused duplicate elimination ----
+
+   A statement that ends in set semantics never materializes its pre-dedup
+   rows: each emitted row goes straight into one {!Rowtable} (grown from a
+   small capacity), the pre-dedup row count is a plain int, and the
+   table's key array — distinct rows in first-occurrence order — becomes
+   the result relation without a copy ({!Relation.of_rowtable}).  The
+   charges, materialization checks and op-stats values that used to read
+   the pre-dedup relation's row count read the int at the same points. *)
+type dedup_sink = { tbl : Rowtable.t; mutable pre : int }
+
+let dedup_sink ~cols = { tbl = Rowtable.create ~width:cols (); pre = 0 }
+
+let sink_emit d row =
+  d.pre <- d.pre + 1;
+  ignore (Rowtable.add_if_absent d.tbl row 0)
+
+(* Adds [rows] pre-dedup rows whose distinct ones, in first-occurrence
+   order, are [rel] — a worker's already-deduplicated disjunct output. *)
+let sink_merge d ~rows rel =
+  d.pre <- d.pre + rows;
+  Relation.iteri_flat
+    (fun _ data off -> ignore (Rowtable.add_if_absent d.tbl data off))
     rel
 
 (* ---- materialized fragment snapshots (the view tier's execution half) ----
@@ -794,36 +814,24 @@ let prepare_fragment t (u : Ucq.t) = ignore (ucq_plans t u)
 let record_fragment t (u : Ucq.t) =
   let plans = ucq_plans t u in
   let n = Array.length plans in
-  let out = Relation.create ~cols:(Ucq.arity u) in
+  let sink = dedup_sink ~cols:(Ucq.arity u) in
   let logs = Array.init n (fun _ -> charge_log max_int) in
   let cum = Array.make n 0 in
   Array.iteri
     (fun i p ->
       (match p with
       | None -> ()
-      | Some p ->
-          exec_cq t
-            ~charge:(record logs.(i))
-            p
-            ~emit:(fun row -> Relation.append out row));
-      cum.(i) <- Relation.rows out)
+      | Some p -> exec_cq t ~charge:(record logs.(i)) p ~emit:(sink_emit sink));
+      cum.(i) <- sink.pre)
     plans;
   {
     fs_terms = Ucq.cardinal u;
     fs_arity = Ucq.arity u;
     fs_logs = logs;
     fs_cum = cum;
-    fs_pre = Relation.rows out;
-    fs_rel = Relation.dedup out;
+    fs_pre = sink.pre;
+    fs_rel = Relation.of_rowtable sink.tbl;
   }
-
-(* Count-only materialization ceiling check: what [check_materialization]
-   would have said about a relation a replay does not rebuild. *)
-let check_rows t rows =
-  if rows > t.profile.Profile.max_materialized_rows then
-    fail t
-      (Profile.Materialization_overflow
-         { rows; limit = t.profile.Profile.max_materialized_rows })
 
 (* Replays a snapshot on a using engine, mirroring [eval_ucq_fragment]
    observable for observable: the union-capacity pre-check with the using
@@ -851,7 +859,7 @@ let eval_cq t (q : Bgp.t) =
   admit ~context:"executor/cq" t (Analysis.Cost_verify.Cq q);
   Obs.Span.with_ "exec.cq" @@ fun sp ->
   let tr = Obs.enabled () in
-  let out = Relation.create ~cols:(List.length q.Bgp.head) in
+  let sink = dedup_sink ~cols:(List.length q.Bgp.head) in
   let root =
     if tr then
       Some (Obs.Op_stats.make ~label:(Bgp.to_string q) Obs.Op_stats.Cq)
@@ -859,16 +867,9 @@ let eval_cq t (q : Bgp.t) =
   in
   (match plan_of t q with
   | None -> ()
-  | Some p ->
-      exec_cq_traced t ?stats:root p ~emit:(fun row -> Relation.append out row));
-  let pre = Relation.rows out in
-  let dedup_node =
-    match root with
-    | None -> None
-    | Some _ ->
-        Some (Obs.Op_stats.make ~label:"set semantics" Obs.Op_stats.Dedup)
-  in
-  let result = dedup_rel ?stats:dedup_node t out in
+  | Some p -> exec_cq_traced t ?stats:root p ~emit:(sink_emit sink));
+  let pre = sink.pre in
+  let result = Relation.of_rowtable sink.tbl in
   charge t pre;
   (match root with
   | None -> ()
@@ -877,7 +878,9 @@ let eval_cq t (q : Bgp.t) =
       let rows = Relation.rows result in
       node.Obs.Op_stats.rows_out <- pre;
       node.Obs.Op_stats.est_rows <- est;
-      let dedup = Option.get dedup_node in
+      let dedup =
+        Obs.Op_stats.make ~label:"set semantics" Obs.Op_stats.Dedup
+      in
       dedup.Obs.Op_stats.est_rows <- est;
       dedup.Obs.Op_stats.rows_in <- pre;
       dedup.Obs.Op_stats.rows_out <- rows;
@@ -892,31 +895,26 @@ let eval_cq t (q : Bgp.t) =
 (* ---- UCQ execution ---- *)
 
 (* Shared epilogue of the sequential and parallel fragment paths: charge
-   one unit per accumulated pre-dedup row, deduplicate, enforce the
-   materialization ceiling, and (when tracing) close the fragment's
-   op-stats subtree — a Dedup root over the Union node. *)
-let fragment_epilogue t ~label (u : Ucq.t) union_node out =
-  charge t (Relation.rows out);
-  let dedup_node =
-    match union_node with
-    | None -> None
-    | Some _ ->
-        Some
-          (Obs.Op_stats.make
-             ~label:(if label = "" then "set semantics" else label)
-             Obs.Op_stats.Dedup)
-  in
-  let result = dedup_rel ?stats:dedup_node t out in
+   one unit per accumulated pre-dedup row, adopt the sink's table as the
+   result, enforce the materialization ceiling, and (when tracing) close
+   the fragment's op-stats subtree — a Dedup root over the Union node. *)
+let fragment_epilogue t ~label (u : Ucq.t) union_node sink =
+  let pre = sink.pre in
+  charge t pre;
+  let result = Relation.of_rowtable sink.tbl in
   check_materialization t result;
   match union_node with
   | None -> (result, None)
   | Some un ->
       let est = Store.Statistics.ucq_cardinality t.stats u in
-      let pre = Relation.rows out in
       let rows = Relation.rows result in
       un.Obs.Op_stats.rows_out <- pre;
       un.Obs.Op_stats.est_rows <- est;
-      let dd = Option.get dedup_node in
+      let dd =
+        Obs.Op_stats.make
+          ~label:(if label = "" then "set semantics" else label)
+          Obs.Op_stats.Dedup
+      in
       dd.Obs.Op_stats.est_rows <- est;
       dd.Obs.Op_stats.rows_in <- pre;
       dd.Obs.Op_stats.rows_out <- rows;
@@ -938,8 +936,8 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
       (Profile.Union_capacity
          { terms; limit = t.profile.Profile.max_union_terms });
   let tr = Obs.enabled () in
-  let out = Relation.create ~cols:(Ucq.arity u) in
-  let emit row = Relation.append out row in
+  let sink = dedup_sink ~cols:(Ucq.arity u) in
+  let emit = sink_emit sink in
   let union_node =
     if tr then
       Some
@@ -957,7 +955,7 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
           match union_node with
           | None -> exec_cq_auto t p ~emit
           | Some un ->
-              let before = Relation.rows out in
+              let before = sink.pre in
               let cq = disjuncts.(i) in
               let est = Store.Statistics.cq_cardinality t.stats cq in
               let cqn =
@@ -966,12 +964,12 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
               in
               Obs.Op_stats.add_child un cqn;
               exec_cq_traced t ~stats:cqn p ~emit;
-              cqn.Obs.Op_stats.rows_out <- Relation.rows out - before;
+              cqn.Obs.Op_stats.rows_out <- sink.pre - before;
               Obs.record_estimate ~label:"cq" ~est
                 ~actual:(float_of_int cqn.Obs.Op_stats.rows_out)));
-      check_materialization t out)
+      check_rows t sink.pre)
     (ucq_plans t u);
-  fragment_epilogue t ~label u union_node out
+  fragment_epilogue t ~label u union_node sink
 
 (* ---- parallel UCQ/JUCQ evaluation ----
 
@@ -979,16 +977,22 @@ let eval_ucq_fragment t ?(label = "") (u : Ucq.t) =
    documented at the charge-log machinery above. *)
 
 type disjunct_result = {
-  drel : Relation.t;  (* the disjunct's rows, in emission order *)
+  drel : Relation.t;  (* the disjunct's distinct rows, first occurrences in
+                         emission order *)
+  dpre : int;  (* the disjunct's emitted (pre-dedup) row count *)
   dlog : charge_log;
   dctr : cq_counters option;  (* scan counters, when tracing *)
 }
 
 (* The worker-side task: pure with respect to the executor (only immutable
    snapshot reads of the store; charges go to the local log, rows to a
-   local relation, scan counters to a local record).  Runs on any domain. *)
+   local dedup sink, scan counters to a local record).  Runs on any
+   domain.  Dropping a disjunct's own repeats early changes nothing the
+   coordinator observes: a row repeated within one disjunct is never a
+   first occurrence of the fragment, and the pre-dedup count travels as
+   an int. *)
 let eval_disjunct t ~cols ~tracing (p : plan option) =
-  let rel = Relation.create ~cols in
+  let sink = dedup_sink ~cols in
   let log = charge_log t.profile.Profile.max_operations in
   let ctr =
     match (tracing, p) with
@@ -999,13 +1003,14 @@ let eval_disjunct t ~cols ~tracing (p : plan option) =
   | None -> ()
   | Some p -> (
       try
-        exec_cq t ?counters:ctr ~charge:(record log) p ~emit:(fun row ->
-            Relation.append rel row)
+        exec_cq t ?counters:ctr ~charge:(record log) p ~emit:(sink_emit sink)
       with Charge_overrun -> ()));
-  { drel = rel; dlog = log; dctr = ctr }
-
-let append_rows out rel =
-  Relation.iteri_flat (fun _ data off -> Relation.append_slice out data off) rel
+  {
+    drel = Relation.of_rowtable sink.tbl;
+    dpre = sink.pre;
+    dlog = log;
+    dctr = ctr;
+  }
 
 (* Coordinator-side merge of pre-evaluated disjuncts, in canonical
    (sequential) order.  Mirrors [eval_ucq_fragment] observable-for-
@@ -1015,7 +1020,7 @@ let append_rows out rel =
 let merge_fragment t ?(label = "") (u : Ucq.t) (plans : plan option array)
     (results : disjunct_result array) =
   let tr = Obs.enabled () in
-  let out = Relation.create ~cols:(Ucq.arity u) in
+  let sink = dedup_sink ~cols:(Ucq.arity u) in
   let union_node =
     if tr then
       Some
@@ -1034,7 +1039,7 @@ let merge_fragment t ?(label = "") (u : Ucq.t) (plans : plan option array)
           match union_node with
           | None ->
               replay t d.dlog;
-              append_rows out d.drel
+              sink_merge sink ~rows:d.dpre d.drel
           | Some un ->
               let cq = disjuncts.(i) in
               let est = Store.Statistics.cq_cardinality t.stats cq in
@@ -1052,13 +1057,13 @@ let merge_fragment t ?(label = "") (u : Ucq.t) (plans : plan option array)
                   | Some ctr -> attach_scan_chain plan ctr cqn
                   | None -> ())
                 (fun () -> replay t d.dlog);
-              append_rows out d.drel;
-              cqn.Obs.Op_stats.rows_out <- Relation.rows d.drel;
+              sink_merge sink ~rows:d.dpre d.drel;
+              cqn.Obs.Op_stats.rows_out <- d.dpre;
               Obs.record_estimate ~label:"cq" ~est
-                ~actual:(float_of_int (Relation.rows d.drel))));
-      check_materialization t out)
+                ~actual:(float_of_int d.dpre)));
+      check_rows t sink.pre)
     plans;
-  fragment_epilogue t ~label u union_node out
+  fragment_epilogue t ~label u union_node sink
 
 (* Parallel counterpart of [eval_ucq_fragment]: compile on the coordinator,
    fan the disjuncts out over the pool, merge in order. *)
@@ -1151,7 +1156,7 @@ let hash_join ?stats t a b =
     let aoff, boff =
       if build_on_b then (poff, i * bcols) else (i * na_cols, poff)
     in
-    Array.blit adata aoff buf 0 na_cols;
+    Store.Intvec.blit_ints adata aoff buf 0 na_cols;
     for j = 0 to npay - 1 do
       buf.(na_cols + j) <- bdata.(boff + Array.unsafe_get pay_b j)
     done;
@@ -1363,7 +1368,7 @@ let block_nested_loop_join ?stats t a b =
              && matches (k + 1)
         in
         if matches 0 then begin
-          Array.blit adata aoff buf 0 na_cols;
+          Store.Intvec.blit_ints adata aoff buf 0 na_cols;
           for j = 0 to npay - 1 do
             buf.(na_cols + j) <- bdata.(boff + Array.unsafe_get pay_b j)
           done;
@@ -1633,7 +1638,8 @@ let eval_jucq ?views t (j : Jucq.t) =
       j.Jucq.head
   in
   (* Head projection fused with duplicate elimination: each joined row is
-     projected into [buf] and appended only if its head is new.  The work
+     projected into [buf] and offered to one {!Rowtable}, whose key array
+     is the result ({!Relation.of_rowtable}).  The work
      accounting is that of the former materialize-then-dedup pipeline (one
      unit per joined row, then one per pre-dedup projected row — the same
      count), so the same statements fail for the same reasons.
@@ -1690,9 +1696,8 @@ let eval_jucq ?views t (j : Jucq.t) =
       Morsel.dedup pool ~morsel:msize projected
     end
     else begin
-      let out = Relation.create ~cols:nhead in
       let buf = Array.make nhead 0 in
-      let seen = Rowtable.create ~width:nhead ~capacity:(max 16 njoined) () in
+      let seen = Rowtable.create ~width:nhead () in
       Relation.iteri_flat
         (fun _ data off ->
           charge t 1;
@@ -1702,9 +1707,9 @@ let eval_jucq ?views t (j : Jucq.t) =
               | `Col j' -> data.(off + j')
               | `Const code -> code)
           done;
-          if Rowtable.add_if_absent seen buf 0 then Relation.append out buf)
+          ignore (Rowtable.add_if_absent seen buf 0))
         joined.rel;
-      out
+      Relation.of_rowtable seen
     end
   in
   charge t njoined;

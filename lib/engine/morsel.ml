@@ -15,7 +15,7 @@ type keep = {
   kidx : Store.Intvec.t;  (* original row indexes kept, ascending *)
 }
 
-let dedup ?stats pool ~morsel rel =
+let dedup pool ~morsel rel =
   let n = Relation.rows rel in
   let w = Relation.cols rel in
   let parts = Par.jobs pool in
@@ -32,9 +32,7 @@ let dedup ?stats pool ~morsel rel =
     let keeps =
       Par.parallel_map pool
         (fun p ->
-          let tbl =
-            Rowtable.create ~width:w ~capacity:(max 16 (n / parts)) ()
-          in
+          let tbl = Rowtable.create ~width:w () in
           let kidx = Store.Intvec.create () in
           for i = 0 to n - 1 do
             let off = i * w in
@@ -46,16 +44,6 @@ let dedup ?stats pool ~morsel rel =
           { kidx })
         (Array.init parts Fun.id)
     in
-    (match stats with
-    | Some node ->
-        node.Obs.Op_stats.morsels <- node.Obs.Op_stats.morsels + parts;
-        Array.iter
-          (fun k ->
-            node.Obs.Op_stats.max_worker_rows <-
-              max node.Obs.Op_stats.max_worker_rows
-                (Store.Intvec.length k.kidx))
-          keeps
-    | None -> ());
     let out = Relation.create ~cols:w in
     let pos = Array.make parts 0 in
     let rec merge () =

@@ -11,7 +11,7 @@ val partition_of : width:int -> parts:int -> int array -> int -> int
     derived from {!Rowtable.hash_slice} — a pure function of the key
     words, so equal keys always share a partition. *)
 
-val dedup : ?stats:Obs.Op_stats.t -> Par.t -> morsel:int -> Relation.t -> Relation.t
+val dedup : Par.t -> morsel:int -> Relation.t -> Relation.t
 (** [dedup pool ~morsel rel] eliminates duplicate rows preserving first
     occurrences — exactly [Relation.dedup rel], computed in parallel when
     profitable: each worker keeps the first occurrences of the keys
@@ -19,6 +19,4 @@ val dedup : ?stats:Obs.Op_stats.t -> Par.t -> morsel:int -> Relation.t -> Relati
     per-partition survivors are merged by ascending original index.
     Falls back to {!Relation.dedup} when the pool is sequential or busy,
     the relation has no columns, or it has at most [morsel] rows.
-    [?stats] receives the partition count ([morsels]) and the largest
-    per-partition survivor count ([max_worker_rows]); it never affects
-    the result.  Performs no budget charging either way. *)
+    Performs no budget charging either way. *)

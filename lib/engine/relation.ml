@@ -1,5 +1,7 @@
 type t = { ncols : int; mutable data : int array; mutable nrows : int }
 
+let blit = Store.Intvec.blit_ints
+
 let create ~cols =
   if cols < 0 then invalid_arg "Relation.create: negative arity";
   { ncols = cols; data = Array.make (max 1 (16 * cols)) 0; nrows = 0 }
@@ -11,7 +13,7 @@ let ensure_capacity r =
   let needed = (r.nrows + 1) * r.ncols in
   if needed > Array.length r.data then begin
     let data = Array.make (max needed (2 * Array.length r.data)) 0 in
-    Array.blit r.data 0 data 0 (r.nrows * r.ncols);
+    blit r.data 0 data 0 (r.nrows * r.ncols);
     r.data <- data
   end
 
@@ -19,14 +21,14 @@ let append r row =
   if Array.length row <> r.ncols then
     invalid_arg "Relation.append: arity mismatch";
   ensure_capacity r;
-  Array.blit row 0 r.data (r.nrows * r.ncols) r.ncols;
+  blit row 0 r.data (r.nrows * r.ncols) r.ncols;
   r.nrows <- r.nrows + 1
 
 let append_slice r src off =
   if off < 0 || off + r.ncols > Array.length src then
     invalid_arg "Relation.append_slice: slice out of bounds";
   ensure_capacity r;
-  Array.blit src off r.data (r.nrows * r.ncols) r.ncols;
+  blit src off r.data (r.nrows * r.ncols) r.ncols;
   r.nrows <- r.nrows + 1
 
 let append_all dst src =
@@ -36,10 +38,10 @@ let append_all dst src =
   let needed = (dst.nrows * dst.ncols) + words in
   if needed > Array.length dst.data then begin
     let data = Array.make (max needed (2 * Array.length dst.data)) 0 in
-    Array.blit dst.data 0 data 0 (dst.nrows * dst.ncols);
+    blit dst.data 0 data 0 (dst.nrows * dst.ncols);
     dst.data <- data
   end;
-  Array.blit src.data 0 dst.data (dst.nrows * dst.ncols) words;
+  blit src.data 0 dst.data (dst.nrows * dst.ncols) words;
   dst.nrows <- dst.nrows + src.nrows
 
 let get r i j =
@@ -85,15 +87,20 @@ let project r columns =
   done;
   out
 
+let of_rowtable tbl =
+  {
+    ncols = Rowtable.width tbl;
+    data = Rowtable.unsafe_keys tbl;
+    nrows = Rowtable.length tbl;
+  }
+
 let dedup r =
-  let out = create ~cols:r.ncols in
-  let seen = Rowtable.create ~width:r.ncols ~capacity:(max 16 r.nrows) () in
+  let seen = Rowtable.create ~width:r.ncols () in
   let w = r.ncols in
   for i = 0 to r.nrows - 1 do
-    let off = i * w in
-    if Rowtable.add_if_absent seen r.data off then append_slice out r.data off
+    ignore (Rowtable.add_if_absent seen r.data (i * w))
   done;
-  out
+  of_rowtable seen
 
 let to_list r =
   let acc = ref [] in

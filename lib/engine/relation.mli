@@ -19,7 +19,9 @@ val append_slice : t -> int array -> int -> unit
 (** [append_slice r src off] appends the [cols r] values at
     [src.(off) .. src.(off + cols r - 1)] as one row — the write half of
     the cursor API: rows move between relations without an intermediate
-    [int array] per row. *)
+    [int array] per row.  Raises [Invalid_argument] when the slice is out
+    of bounds.  Every row copy here goes through
+    {!Store.Intvec.blit_ints}. *)
 
 val append_all : t -> t -> unit
 (** [append_all dst src] appends every row of [src] to [dst] in order, as
@@ -56,10 +58,21 @@ val fold_rows : ('a -> int array -> int -> 'a) -> 'a -> t -> 'a
 val project : t -> int array -> t
 (** [project r cols] keeps the given column indexes, in order. *)
 
+val of_rowtable : Rowtable.t -> t
+(** The table's keys as a relation of [Rowtable.width] columns, one row per
+    entry in first-occurrence order — the result of duplicate elimination
+    with no copy: the relation {e shares} the table's key array
+    ({!Rowtable.unsafe_keys}).  The caller hands the array over: the table
+    must not be inserted into afterwards (the relation's own appends write
+    into the same array).  A table grown from a small capacity holds at
+    most about twice its rows, and so does the relation. *)
+
 val dedup : t -> t
 (** Duplicate elimination via a specialized {!Rowtable} (open addressing
     over flat int-row keys — no polymorphic hashing, no per-row boxing),
-    preserving first occurrences. *)
+    preserving first occurrences.  The rows go straight into a table grown
+    from a small capacity, whose key array becomes the result
+    ({!of_rowtable}). *)
 
 val to_list : t -> int array list
 (** All rows, in order. *)

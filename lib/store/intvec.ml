@@ -1,12 +1,32 @@
 type t = { mutable data : int array; mutable len : int }
 
+(* Element-wise copy on [int array]s: the compiler knows the elements are
+   immediates, so the stores skip the write barrier that the polymorphic
+   array blit pays ([caml_modify] per word) once the destination lives in
+   the major heap.  Overlapping ranges of one array copy like [memmove]. *)
+let blit_ints (src : int array) srcoff (dst : int array) dstoff len =
+  if
+    len < 0 || srcoff < 0
+    || srcoff > Array.length src - len
+    || dstoff < 0
+    || dstoff > Array.length dst - len
+  then invalid_arg "Intvec.blit_ints";
+  if src == dst && srcoff < dstoff then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dstoff + i) (Array.unsafe_get src (srcoff + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dstoff + i) (Array.unsafe_get src (srcoff + i))
+    done
+
 let create ?(capacity = 16) () = { data = Array.make (max 1 capacity) 0; len = 0 }
 
 let length v = v.len
 
 let grow v =
   let data = Array.make (2 * Array.length v.data) 0 in
-  Array.blit v.data 0 data 0 v.len;
+  blit_ints v.data 0 data 0 v.len;
   v.data <- data
 
 let push v x =

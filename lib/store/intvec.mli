@@ -3,6 +3,14 @@
 
 type t
 
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+(** [blit_ints src srcoff dst dstoff len] copies [len] ints from [src]
+    starting at [srcoff] into [dst] starting at [dstoff], like
+    [Array.blit] but typed to [int array]: no write barrier per word, so a
+    copy into a major-heap array costs a plain store per element.  Raises
+    [Invalid_argument] when either range is out of bounds.  Every row copy
+    of the execution engine goes through this. *)
+
 val create : ?capacity:int -> unit -> t
 (** A fresh empty vector. *)
 

@@ -51,6 +51,143 @@ let test_relation_zero_arity () =
   Alcotest.(check int) "dedup boolean" 1
     (Engine.Relation.rows (Engine.Relation.dedup r))
 
+(* ---- Rowtable and int copies ---- *)
+
+(* Tables that start at capacity 0 or 1 must grow to fit every insert, at
+   every key width (a zero-width table holds the empty key once). *)
+let test_rowtable_small_capacity () =
+  List.iter
+    (fun width ->
+      List.iter
+        (fun capacity ->
+          let msg = Printf.sprintf "width %d capacity %d" width capacity in
+          let t = Engine.Rowtable.create ~width ~capacity () in
+          let keys = List.init 40 (fun i -> Array.init width (fun j -> i + j)) in
+          let distinct = if width = 0 then 1 else 40 in
+          List.iteri
+            (fun i k ->
+              Alcotest.(check bool)
+                (msg ^ ": insert") (i < distinct)
+                (Engine.Rowtable.add_if_absent t k 0))
+            keys;
+          Alcotest.(check int) (msg ^ ": length") distinct
+            (Engine.Rowtable.length t);
+          List.iteri
+            (fun i k ->
+              Alcotest.(check bool) (msg ^ ": re-insert") false
+                (Engine.Rowtable.add_if_absent t k 0);
+              Alcotest.(check int) (msg ^ ": find") (min i (distinct - 1))
+                (Engine.Rowtable.find t k 0))
+            keys;
+          Alcotest.(check int) (msg ^ ": unset payload") (-1)
+            (Engine.Rowtable.value t 0);
+          Engine.Rowtable.set_value t (distinct - 1) 7;
+          Alcotest.(check int) (msg ^ ": payload") 7
+            (Engine.Rowtable.value t (distinct - 1));
+          Alcotest.(check (list (array int)))
+            (msg ^ ": keys in first-occurrence order")
+            (List.filteri (fun i _ -> i < distinct) keys)
+            (Engine.Relation.to_list (Engine.Relation.of_rowtable t)))
+        [ 0; 1 ])
+    [ 0; 1; 3 ]
+
+(* Every row offered to a dedup table is one probe: lookups of present
+   keys and membership tests must not allocate (no closures per call). *)
+let test_rowtable_probe_allocates_nothing () =
+  let t = Engine.Rowtable.create ~width:3 () in
+  let key = [| 0; 1; 2 |] in
+  for i = 0 to 999 do
+    key.(0) <- i;
+    ignore (Engine.Rowtable.add_if_absent t key 0)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 20 do
+    for i = 0 to 999 do
+      key.(0) <- i;
+      ignore (Engine.Rowtable.add_if_absent t key 0);
+      ignore (Engine.Rowtable.mem t key 0)
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 100.0 then
+    Alcotest.failf "40,000 lookups allocated %.0f minor words" words
+
+let test_rowtable_rejects_bad_arguments () =
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "negative capacity" true
+    (raises (fun () -> Engine.Rowtable.create ~width:2 ~capacity:(-1) ()));
+  Alcotest.(check bool) "negative width" true
+    (raises (fun () -> Engine.Rowtable.create ~width:(-1) ()));
+  let t = Engine.Rowtable.create ~width:1 () in
+  Alcotest.(check bool) "payload of a missing entry" true
+    (raises (fun () -> Engine.Rowtable.value t 0))
+
+let test_blit_ints () =
+  let blit = Store.Intvec.blit_ints in
+  let a = Array.init 6 Fun.id in
+  let b = Array.make 6 0 in
+  blit a 1 b 2 3;
+  Alcotest.(check (array int)) "copied" [| 0; 0; 1; 2; 3; 0 |] b;
+  blit a 0 a 2 4;
+  Alcotest.(check (array int)) "overlap upward" [| 0; 1; 0; 1; 2; 3 |] a;
+  blit a 2 a 0 4;
+  Alcotest.(check (array int)) "overlap downward" [| 0; 1; 2; 3; 2; 3 |] a;
+  blit a 6 b 6 0;
+  List.iter
+    (fun (msg, so, d, len) ->
+      Alcotest.(check bool) msg true
+        (try blit a so b d len; false with Invalid_argument _ -> true))
+    [
+      ("source past the end", 4, 0, 3);
+      ("destination past the end", 0, 4, 3);
+      ("negative length", 0, 0, -1);
+      ("negative offset", -1, 0, 1);
+    ];
+  let r = Engine.Relation.create ~cols:2 in
+  Alcotest.(check bool) "append_slice out of bounds" true
+    (try Engine.Relation.append_slice r [| 1; 2; 3 |] 2; false
+     with Invalid_argument _ -> true)
+
+(* Fragment duplicate elimination must not allocate in proportion to the
+   pre-dedup rows: 20 disjuncts each emit the same 5,000 two-column rows,
+   so the major-heap words allocated by the evaluation are bounded by a
+   fixed multiple of distinct rows x width (the growing dedup table), not
+   of the 100,000 emitted rows.  Sequential, so the count is this
+   domain's alone and repeats exactly for one build. *)
+let test_fragment_dedup_allocation () =
+  let n = 5_000 and k = 20 in
+  let props = List.init k (fun i -> u (Printf.sprintf "p%d" i)) in
+  let facts =
+    List.concat_map
+      (fun p ->
+        List.init n (fun j ->
+            tr (u (Printf.sprintf "s%d" j)) p (u (Printf.sprintf "o%d" j))))
+      props
+  in
+  let st =
+    Store.Encoded_store.of_graph
+      (Rdf.Graph.make (Rdf.Schema.of_constraints []) facts)
+  in
+  let ucq =
+    Ucq.of_cqs
+      (List.map
+         (fun p -> Bgp.make [ v "x"; v "y" ] [ Bgp.atom (v "x") (c p) (v "y") ])
+         props)
+  in
+  Fun.protect ~finally:(fun () -> Par.set_jobs (Par.env_jobs ())) @@ fun () ->
+  Par.set_jobs 1;
+  let ex = Engine.Executor.create st in
+  (* warm the plan cache: only evaluation is measured *)
+  ignore (Engine.Executor.eval_ucq ex ucq);
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = Engine.Executor.eval_ucq ex ucq in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check int) "distinct rows" n (Engine.Relation.rows r);
+  let bound = 16.0 *. float_of_int (n * 2) in
+  if words > bound then
+    Alcotest.failf "major words %.0f exceed %.0f (16 x distinct x width)"
+      words bound
+
 (* ---- fixtures ---- *)
 
 let schema =
@@ -582,6 +719,18 @@ let () =
           Alcotest.test_case "basics" `Quick test_relation_basics;
           Alcotest.test_case "arity check" `Quick test_relation_arity_check;
           Alcotest.test_case "zero arity" `Quick test_relation_zero_arity;
+        ] );
+      ( "rowtable",
+        [
+          Alcotest.test_case "capacity 0 and 1" `Quick
+            test_rowtable_small_capacity;
+          Alcotest.test_case "probes allocate nothing" `Quick
+            test_rowtable_probe_allocates_nothing;
+          Alcotest.test_case "bad arguments" `Quick
+            test_rowtable_rejects_bad_arguments;
+          Alcotest.test_case "int copies" `Quick test_blit_ints;
+          Alcotest.test_case "fragment dedup allocation" `Quick
+            test_fragment_dedup_allocation;
         ] );
       ( "evaluation",
         [

@@ -268,10 +268,215 @@ let test_traced_op_totals_equal () =
     (List.exists (fun (_, k, _, _, _, _, _, _, _) -> k = "hash_join") seq);
   Alcotest.(check bool) "jobs=4 op totals = jobs=1" true (par = seq)
 
+(* ---- fused fragment dedup vs relation-then-dedup ----
+
+   A fragment UCQ no longer materializes its pre-dedup rows: each emitted
+   row goes straight into one dedup table.  The reference here is the
+   pipeline it replaced — append every disjunct's emitted rows to one
+   relation, then deduplicate by first occurrence — with that pipeline's
+   charges (each disjunct's scan charges plus one unit per pre-dedup row,
+   i.e. the sum of each disjunct's own [eval_cq] total) and its
+   materialization check after every disjunct on the pre-dedup count.
+
+   Each generated disjunct is a list of rows of one width (0-4); disjunct
+   [i]'s row [j] is stored as a subject with one [in_i] edge and one
+   [c_k] edge per column, so the CQ
+   [q(?c0..) :- ?s in_i tag, ?s c_0 ?c0, ...] emits exactly those rows.
+   The engine's emission order within a disjunct comes from evaluating
+   the same CQ with its subject variable prepended to the head (every row
+   is then distinct, so set semantics keeps emission order) and dropping
+   that column. *)
+
+let gen_fused_case =
+  QCheck2.Gen.(
+    let* w = int_range 0 4 in
+    let* k = int_range 1 5 in
+    let row = list_repeat w (int_bound 3) in
+    let sizes m = list_repeat k (int_bound m) in
+    let* disjuncts =
+      oneof
+        [
+          (* random rows over a small domain: duplicates across and within
+             disjuncts *)
+          list_repeat k (list_size (int_bound 12) row);
+          (* one row, repeated everywhere *)
+          (let* r = row and* ns = sizes 8 in
+           return (List.map (fun n -> List.init n (fun _ -> r)) ns));
+          (* globally distinct rows (at width 0 every row is the empty one) *)
+          (let* ns = sizes 8 in
+           let next = ref 0 in
+           return
+             (List.map
+                (fun n ->
+                  List.init n (fun _ ->
+                      incr next;
+                      List.init w (fun col -> (!next * 5) + col)))
+                ns));
+          (* empty disjuncts mixed in *)
+          list_repeat k
+            (oneof [ return []; list_size (int_bound 6) row ]);
+        ]
+    in
+    let* cut = float_bound_inclusive 1.0 in
+    return (w, disjuncts, cut))
+
+let print_fused_case (w, ds, cut) =
+  Printf.sprintf "width %d, cut %.2f, disjuncts %s" w cut
+    (String.concat " | "
+       (List.map
+          (fun rows ->
+            String.concat ";"
+              (List.map
+                 (fun r -> String.concat "," (List.map string_of_int r))
+                 rows))
+          ds))
+
+let fused_tag = u "tag"
+
+(* The store holding the generated rows, and the fragment UCQ over it. *)
+let fused_fixture (w, disjuncts, _) =
+  let tag = fused_tag in
+  let col k = u (Printf.sprintf "c%d" k) in
+  let facts =
+    List.concat
+      (List.mapi
+         (fun i rows ->
+           List.concat
+             (List.mapi
+                (fun j row ->
+                  let s = u (Printf.sprintf "d%d_%d" i j) in
+                  tr s (u (Printf.sprintf "in%d" i)) tag
+                  :: List.mapi
+                       (fun k x -> tr s (col k) (u (Printf.sprintf "v%d" x)))
+                       row)
+                rows))
+         disjuncts)
+  in
+  let store =
+    Store.Encoded_store.of_graph
+      (Rdf.Graph.make (Rdf.Schema.of_constraints []) facts)
+  in
+  let head = List.init w (fun k -> v (Printf.sprintf "c%d" k)) in
+  let cq i _ =
+    Bgp.make head
+      (Bgp.atom (v "s") (c (u (Printf.sprintf "in%d" i))) (c tag)
+      :: List.init w (fun k ->
+             Bgp.atom (v "s") (c (col k)) (v (Printf.sprintf "c%d" k))))
+  in
+  (store, Ucq.of_cqs (List.mapi cq disjuncts))
+
+(* Everything observable about one fragment evaluation, traced or not. *)
+let fused_outcome ?profile ~traced store ucq =
+  let t = Engine.Executor.create ?profile store in
+  Obs.reset ();
+  Obs.set_enabled traced;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  match Engine.Executor.eval_ucq t ucq with
+  | r -> Ok (Relation.to_list r, Engine.Executor.last_operations t)
+  | exception Engine.Profile.Engine_failure { reason; _ } ->
+      Error (reason, Engine.Executor.last_operations t)
+
+let prop_fused_dedup_matches_reference =
+  QCheck2.Test.make ~count:60 ~print:print_fused_case
+    ~name:"fused fragment dedup = relation then dedup" gen_fused_case
+    (fun ((_, _, cut) as case) ->
+      let store, ucq = fused_fixture case in
+      (* the reference, in the UCQ's own disjunct order *)
+      let ref_ex = Engine.Executor.create store in
+      let per_disjunct =
+        List.map
+          (fun d ->
+            (* disjuncts are canonicalized: find [?s] again *)
+            let s =
+              (List.find
+                 (fun a -> Bgp.pattern_term_equal a.Bgp.o (c fused_tag))
+                 d.Bgp.body)
+                .Bgp.s
+            in
+            let with_s = Bgp.make (s :: d.Bgp.head) d.Bgp.body in
+            let emitted =
+              List.map
+                (fun row -> Array.sub row 1 (Array.length row - 1))
+                (Relation.to_list (Engine.Executor.eval_cq ref_ex with_s))
+            in
+            ignore (Engine.Executor.eval_cq ref_ex d);
+            let ops = Engine.Executor.last_operations ref_ex in
+            (emitted, ops - List.length emitted))
+          (Ucq.disjuncts ucq)
+      in
+      let pre_dedup = Relation.create ~cols:(Ucq.arity ucq) in
+      List.iter
+        (fun (rows, _) -> List.iter (Relation.append pre_dedup) rows)
+        per_disjunct;
+      let seen = Hashtbl.create 16 in
+      let expected_rows =
+        List.filter
+          (fun r ->
+            let key = Array.to_list r in
+            if Hashtbl.mem seen key then false
+            else (Hashtbl.add seen key (); true))
+          (Relation.to_list pre_dedup)
+      in
+      let pre = Relation.rows pre_dedup in
+      let distinct = List.length expected_rows in
+      let expected =
+        Ok
+          ( expected_rows,
+            List.fold_left (fun acc (_, scan) -> acc + scan) pre per_disjunct
+          )
+      in
+      (* a ceiling the distinct rows fit under but the pre-dedup rows do
+         not: the check after some disjunct must fire, on its cumulative
+         pre-dedup count, with that disjunct's scan charges spent *)
+      let overflow =
+        if distinct >= pre then None
+        else
+          let limit =
+            distinct + int_of_float (cut *. float_of_int (pre - 1 - distinct))
+          in
+          let rec fire cum ops = function
+            | [] -> assert false
+            | (rows, scan) :: rest ->
+                let cum = cum + List.length rows and ops = ops + scan in
+                if cum > limit then
+                  Error
+                    ( Engine.Profile.Materialization_overflow
+                        { rows = cum; limit },
+                      ops )
+                else fire cum ops rest
+          in
+          Some
+            ( {
+                Engine.Profile.postgres_like with
+                Engine.Profile.name = "tight-materialization";
+                max_materialized_rows = limit;
+              },
+              fire 0 0 per_disjunct )
+      in
+      Relation.to_list (Relation.dedup pre_dedup) = expected_rows
+      && List.for_all
+           (fun j ->
+             with_jobs j @@ fun () ->
+             List.for_all
+               (fun (m, traced) ->
+                 with_morsel m @@ fun () ->
+                 fused_outcome ~traced store ucq = expected
+                 &&
+                 match overflow with
+                 | None -> true
+                 | Some (profile, failure) ->
+                     fused_outcome ~profile ~traced store ucq = failure)
+               [ (1, false); (1_000_000, false); (1, true) ])
+           [ 1; 4 ])
+
 let qcheck_cases =
   List.map
     (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_partitioned_join_identical; prop_partitioned_dedup_identical ]
+    [
+      prop_partitioned_join_identical;
+      prop_partitioned_dedup_identical;
+      prop_fused_dedup_matches_reference;
+    ]
 
 let () =
   Alcotest.run "morsel"
